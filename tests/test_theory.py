@@ -190,3 +190,38 @@ def test_verification_sweep_all_pass():
     } <= names
     for check in checks:
         assert check.passed, f"{check.name}: {check.violations} violations"
+
+
+# Rows of run_verification_sweep as computed by the one-pair-at-a-time loop
+# implementation; any change to the random stream or the arithmetic shows here.
+SWEEP_GOLDEN = {
+    0: [
+        ["two_point_entropy_monotone", 149985, 0, 0.0, True],
+        ["chi2_moment_identity", 1000, 0, 3.552713678800501e-15, True],
+        ["kl_tv_chi2_bound", 1000, 0, 0.0, True],
+        ["two_mass_entropy_confidence", 100000, 0, 0.0, True],
+        ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
+        ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
+        ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
+        ["score_dist_tv_gaussian", 1, 0, 0.0014844025377160897, True],
+    ],
+    7: [
+        ["two_point_entropy_monotone", 149985, 0, 0.0, True],
+        ["chi2_moment_identity", 1000, 0, 3.552713678800501e-15, True],
+        ["kl_tv_chi2_bound", 1000, 0, 0.0, True],
+        ["two_mass_entropy_confidence", 100000, 0, 0.0, True],
+        ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
+        ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
+        ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
+        ["score_dist_tv_gaussian", 1, 0, 0.0011655974622837295, True],
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SWEEP_GOLDEN))
+def test_verification_sweep_rows_golden(seed):
+    # repr compares the floats bit for bit; float() only drops the numpy
+    # scalar type from the repr
+    rows = [c.to_row() for c in run_verification_sweep(seed)]
+    got = [[name, trials, violations, float(worst), ok] for name, trials, violations, worst, ok in rows]
+    assert repr(got) == repr(SWEEP_GOLDEN[seed])
