@@ -42,6 +42,12 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """Held-out metrics and training loss of one timestep.
+
+    `loss` is the mean over the minibatches of the timestep's last epoch
+    only; earlier epochs of the timestep leave no trace in the record.
+    """
+
     t: int
     id_acc: float
     ood_acc: float

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from sconelab import theory
 from sconelab.theory import (
     _chi2_gaussian_quadrature,
+    _two_mass_draws,
     analytic_gaussian_tv,
     chi2,
     chi2_gaussian_shift,
@@ -223,5 +225,150 @@ def test_verification_sweep_rows_golden(seed):
     # repr compares the floats bit for bit; float() only drops the numpy
     # scalar type from the repr
     rows = [c.to_row() for c in run_verification_sweep(seed)]
-    got = [[name, trials, violations, float(worst), ok] for name, trials, violations, worst, ok in rows]
+    got = [[name, trials, bad, float(worst), ok] for name, trials, bad, worst, ok in rows]
     assert repr(got) == repr(SWEEP_GOLDEN[seed])
+
+
+def scalar_two_mass_draws(rng, n):
+    # the loop _two_mass_draws replays
+    ks, star_a, star_b = [], [], []
+    for _ in range(n):
+        k = int(rng.integers(2, 17))
+        ks.append(k)
+        star_a.append(rng.uniform(1.0 / k, 1.0))
+        star_b.append(rng.uniform(1.0 / k, 1.0))
+    return np.array(ks, dtype=np.int64), np.array(star_a), np.array(star_b)
+
+
+def assert_same_draws(rng, ref, n):
+    got, want = _two_mass_draws(rng, n), scalar_two_mass_draws(ref, n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    assert rng.integers(2, 17) == ref.integers(2, 17)
+    assert rng.normal() == ref.normal()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1001])
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_two_mass_draws_replay_scalar_loop(seed, buffered, n):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:  # leaves the high half of a word in the 32-bit buffer
+        rng.integers(2, 17)
+        ref.integers(2, 17)
+    assert rng.bit_generator.state["has_uint32"] == int(buffered)
+    assert_same_draws(rng, ref, n)
+
+
+def test_two_mass_draws_other_bit_generator():
+    philox = [np.random.Generator(np.random.Philox(0)) for _ in range(2)]
+    assert_same_draws(*philox, 7)
+
+
+def test_two_mass_draws_rejected_integer():
+    # A PCG64 state whose next word has low half 0: integers() rejects that
+    # 32-bit value and draws again, so the replay must fall back to the loop.
+    mult = (2549297995355413924 << 64) + 4865540595714422341
+    inc = 2 * 12345 + 1
+    state = ((0xABCD << 32) - inc) * pow(mult, -1, 2**128) % 2**128
+
+    def generator():
+        bit_gen = np.random.PCG64()
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bit_gen)
+
+    assert int(generator().bit_generator.random_raw()) & 0xFFFFFFFF == 0
+    assert_same_draws(generator(), generator(), 7)
+
+
+def test_two_point_entropy_array_matches_scalar():
+    for k in range(2, 17):
+        grid = np.concatenate([np.linspace(1.0 / k, 1.0, 997), [1.0 + 1e-13]])
+        got = two_point_entropy(grid, k)
+        want = np.array([two_point_entropy(p, k) for p in grid])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_two_point_entropy_array_out_of_range():
+    with pytest.raises(ValueError, match=r"p_star must lie in \[1/K, 1\], got 0.1"):
+        two_point_entropy(np.array([0.5, 0.1, 0.9]), 5)
+    with pytest.raises(ValueError, match="p_star"):
+        two_point_entropy(np.array([0.5, np.nan]), 5)
+
+
+def two_mass_stack(rng, n, k):
+    # max mass on a random class, so the argmax is not always column 0
+    stack = np.array([two_mass(rng.uniform(1.0 / k, 1.0), k) for _ in range(n)])
+    return rng.permuted(stack, axis=1)
+
+
+def test_lemma1_stack_matches_rows():
+    rng = np.random.default_rng(6)
+    for k in (2, 3, 9, 16):
+        pa, pb = two_mass_stack(rng, 200, k), two_mass_stack(rng, 200, k)
+        pb[:20] = pa[:20]  # equality case
+        got = lemma1_check(pa, pb)
+        assert got.dtype == bool and got.shape == (200,)
+        assert got.tolist() == [lemma1_check(a, b) for a, b in zip(pa, pb)]
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        [0.6, 0.5, -0.1],  # negative
+        [0.5, 0.3, 0.3],  # sums to 1.1
+        [0.5, 0.3, 0.2],  # not two-mass
+    ],
+)
+def test_lemma1_stack_bad_row_same_message(bad_row):
+    rng = np.random.default_rng(7)
+    pa, pb = two_mass_stack(rng, 6, 3), two_mass_stack(rng, 6, 3)
+    pa[3] = bad_row
+    with pytest.raises(ValueError) as single:
+        lemma1_check(pa[3], pb[3])
+    with pytest.raises(ValueError) as stacked:
+        lemma1_check(pa, pb)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_lemma1_stack_shape_mismatch():
+    rng = np.random.default_rng(8)
+    with pytest.raises(ValueError, match="class counts differ"):
+        lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 4, 5))
+    with pytest.raises(ValueError, match="stack shapes differ"):
+        lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 5, 3))
+
+
+def test_sweep_max_violation_is_python_float():
+    for check in run_verification_sweep(seed=1):
+        assert type(check.max_violation) is float
+
+
+def test_two_mass_sweep_reports_largest_confidence_rise(monkeypatch):
+    # Count every pair whose class-0 mass rises by more than 0.5 as a
+    # violation; the row must give their number and the largest rise.
+    draws = []
+
+    def recording_draws(rng, n):
+        out = _two_mass_draws(rng, n)
+        draws.append(out)
+        return out
+
+    monkeypatch.setattr(theory, "_two_mass_draws", recording_draws)
+    monkeypatch.setattr(theory, "lemma1_check", lambda pa, pb: pb[:, 0] - pa[:, 0] <= 0.5)
+    row = {c.name: c for c in run_verification_sweep(seed=3)}["two_mass_entropy_confidence"]
+    ks, star_a, star_b = (np.concatenate(parts) for parts in zip(*draws))
+    flagged = star_b - star_a > 0.5
+    # max mass of each row; the remainder can beat p_star by rounding at 1/K
+    top_a = np.maximum(star_a, (1.0 - star_a) / (ks - 1))
+    top_b = np.maximum(star_b, (1.0 - star_b) / (ks - 1))
+    assert row.trials == ks.size == 100_000
+    assert row.violations == flagged.sum() > 0
+    assert row.max_violation == (top_b - top_a)[flagged].max()
+    assert not row.passed
