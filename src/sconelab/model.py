@@ -1,9 +1,15 @@
 """Small tanh MLP with hand-written forward/backward passes.
 
 Logits are plain [n, K] float64 arrays. Parameter-shaped quantities
-(gradients, momentum buffers) reuse the ModelParams container so the
-optimizer and the finite-difference checks can treat everything as one
-flat structure.
+(gradients, momentum buffers) reuse the ModelParams container.
+ModelParams.flatten/unflatten fix one flat layout (weights, biases,
+g_weight, g_bias); sgd_step gathers parameters, gradients and momentum
+into that layout and updates them with a few whole-vector operations, and
+the finite-difference checks perturb the same vector.
+
+The no-grad forward pass runs in blocks of FORWARD_BLOCK_ROWS rows, so its
+temporaries stay small on full-split passes. Rows do not interact and no
+block is a single row, so its logits equal forward_cached's bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# Rows per block of the no-grad forward pass. A 128 x 64 float64 hidden
+# activation is 64 KiB, below glibc's 128 KiB mmap threshold, so block
+# temporaries reuse heap memory; larger ones are fresh mappings that page
+# fault on every call.
+FORWARD_BLOCK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,25 @@ class ModelParams:
             0.0,
         )
 
+    def flatten(self) -> np.ndarray:
+        """One float64 vector: every weight, every bias, g_weight, g_bias."""
+        return np.concatenate(
+            [
+                *(w.ravel() for w in self.layer_weights),
+                *(b.ravel() for b in self.layer_biases),
+                [self.g_weight, self.g_bias],
+            ]
+        )
+
+    def unflatten(self, vec: np.ndarray) -> "ModelParams":
+        """Inverse of flatten with this object's shapes; arrays are views of vec."""
+        arrays, i = [], 0
+        for a in (*self.layer_weights, *self.layer_biases):
+            arrays.append(vec[i : i + a.size].reshape(a.shape))
+            i += a.size
+        n = len(self.layer_weights)
+        return ModelParams(arrays[:n], arrays[n:], float(vec[i]), float(vec[i + 1]))
+
     def named_arrays(self):
         """Yield (name, array) for every tensor; scalars excluded."""
         for i, w in enumerate(self.layer_weights):
@@ -86,9 +117,7 @@ class ModelParams:
             yield f"layer_biases[{i}]", b
 
     def all_finite(self) -> bool:
-        return all(np.isfinite(a).all() for _, a in self.named_arrays()) and np.isfinite(
-            self.g_weight
-        ) and np.isfinite(self.g_bias)
+        return bool(np.isfinite(self.flatten()).all())
 
 
 def init_params(input_dim, num_classes, hidden_sizes=(64, 64), rng=None) -> ModelParams:
@@ -110,12 +139,7 @@ def init_params(input_dim, num_classes, hidden_sizes=(64, 64), rng=None) -> Mode
     return ModelParams(weights, biases, 1.0, 0.0)
 
 
-def forward_cached(params: ModelParams, features: np.ndarray):
-    """Forward pass returning (logits, per-layer activations).
-
-    activations[0] is the input; activations[l] for l >= 1 is the tanh
-    output of hidden layer l. Needed by backward_from_logits.
-    """
+def _check_features(params: ModelParams, features) -> np.ndarray:
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-d [n, d], got shape {x.shape}")
@@ -123,18 +147,53 @@ def forward_cached(params: ModelParams, features: np.ndarray):
         raise ValueError(
             f"feature width mismatch: model expects {params.input_dim}, got {x.shape[1]}"
         )
-    activations = [x]
+    return x
+
+
+def _logits(params: ModelParams, x: np.ndarray, activations: list | None = None):
+    """Logits of x; appends each hidden tanh output to activations if given.
+
+    Bias and tanh are applied in place, one allocation per layer.
+    """
     h = x
     for w, b in zip(params.layer_weights[:-1], params.layer_biases[:-1]):
-        h = np.tanh(h @ w + b)
-        activations.append(h)
-    logits = h @ params.layer_weights[-1] + params.layer_biases[-1]
-    return logits, activations
+        h = h @ w
+        h += b
+        np.tanh(h, out=h)
+        if activations is not None:
+            activations.append(h)
+    logits = h @ params.layer_weights[-1]
+    logits += params.layer_biases[-1]
+    return logits
+
+
+def forward_cached(params: ModelParams, features: np.ndarray):
+    """Forward pass returning (logits, per-layer activations).
+
+    activations[0] is the input; activations[l] for l >= 1 is the tanh
+    output of hidden layer l. Needed by backward_from_logits.
+    """
+    x = _check_features(params, features)
+    activations = [x]
+    return _logits(params, x, activations), activations
 
 
 def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    logits, _ = forward_cached(params, features)
-    return logits
+    """Logits without activations, FORWARD_BLOCK_ROWS rows at a time."""
+    x = _check_features(params, features)
+    n = x.shape[0]
+    if n <= FORWARD_BLOCK_ROWS:
+        return _logits(params, x)
+    starts = list(range(0, n, FORWARD_BLOCK_ROWS))
+    if n % FORWARD_BLOCK_ROWS == 1:
+        # NumPy multiplies a one-row matrix as a vector (BLAS gemv), which
+        # sums in another order than the matrix product of the whole input;
+        # the last row joins the block before it instead.
+        starts.pop()
+    out = np.empty((n, params.num_classes))
+    for start, stop in zip(starts, [*starts[1:], n]):
+        out[start:stop] = _logits(params, x[start:stop])
+    return out
 
 
 def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) -> ModelParams:
@@ -143,21 +202,40 @@ def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) 
     The detector-head entries of the result are zero; head gradients are
     accumulated separately by the energy losses.
     """
-    grads = params.zeros_like()
+    num_layers = len(params.layer_weights)
+    grad_w, grad_b = [None] * num_layers, [None] * num_layers
     delta = np.asarray(dlogits, dtype=float)
-    for layer in reversed(range(len(params.layer_weights))):
-        grads.layer_weights[layer] = activations[layer].T @ delta
-        grads.layer_biases[layer] = delta.sum(axis=0)
+    for layer in reversed(range(num_layers)):
+        grad_w[layer] = activations[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
             # tanh'(a) = 1 - tanh(a)^2, and activations[layer] stores tanh(a)
-            delta = (delta @ params.layer_weights[layer].T) * (1.0 - activations[layer] ** 2)
-    return grads
+            slope = np.square(activations[layer])
+            np.subtract(1.0, slope, out=slope)
+            delta = delta @ params.layer_weights[layer].T
+            delta *= slope
+    return ModelParams(grad_w, grad_b, 0.0, 0.0)
+
+
+def log_softmax_energy(logits: np.ndarray):
+    """(log_softmax(z), energy(z)) from one max-shifted log-partition.
+
+    energy is -log sum_y exp(z_y) per row. Raises ValueError on non-finite
+    logits, for which neither is defined.
+    """
+    z = np.asarray(logits, dtype=float)
+    if not np.isfinite(z).all():
+        raise ValueError("logits must be finite")
+    m = z.max(axis=1, keepdims=True)
+    logp = z - m
+    log_partition = np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    logp -= log_partition
+    log_partition += m
+    return logp, -log_partition[:, 0]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits, dtype=float)
-    m = z.max(axis=1, keepdims=True)
-    return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+    return log_softmax_energy(logits)[0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -166,16 +244,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def energy(logits: np.ndarray) -> np.ndarray:
     """Per-sample energy -log sum_y exp(z_y), max-shifted for stability."""
-    z = np.asarray(logits, dtype=float)
-    if not np.isfinite(z).all():
-        raise ValueError("logits must be finite")
-    m = z.max(axis=1)
-    return -(m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+    return log_softmax_energy(logits)[1]
 
 
-def energy_grad_logits(logits: np.ndarray) -> np.ndarray:
-    """dE_i/dz_ik = -softmax(z_i)_k."""
-    return -softmax(logits)
+def cross_entropy_from_log_softmax(logp: np.ndarray, probs: np.ndarray, labels: np.ndarray):
+    """Mean negative log-likelihood and its logits gradient (probs - onehot)/n.
+
+    probs must be exp(logp); it is overwritten with the gradient, which is
+    returned.
+    """
+    y = np.asarray(labels)
+    n, k = logp.shape
+    if y.shape != (n,):
+        raise ValueError(f"labels shape {y.shape} does not match batch size {n}")
+    if y.min() < 0 or y.max() >= k:
+        raise ValueError(f"labels must lie in [0, {k}), got range [{y.min()}, {y.max()}]")
+    rows = np.arange(n)
+    loss = -logp[rows, y].mean()
+    probs[rows, y] -= 1.0
+    probs /= n
+    return loss, probs
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -183,19 +271,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
     Returns (loss, dloss/dlogits) with dloss/dlogits = (softmax - onehot)/n.
     """
-    z = np.asarray(logits, dtype=float)
-    y = np.asarray(labels)
-    n, k = z.shape
-    if y.shape != (n,):
-        raise ValueError(f"labels shape {y.shape} does not match batch size {n}")
-    if y.min() < 0 or y.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k}), got range [{y.min()}, {y.max()}]")
-    logp = log_softmax(z)
-    loss = -logp[np.arange(n), y].mean()
-    grad = np.exp(logp)
-    grad[np.arange(n), y] -= 1.0
-    grad /= n
-    return loss, grad
+    logp, _ = log_softmax_energy(logits)
+    return cross_entropy_from_log_softmax(logp, np.exp(logp), labels)
 
 
 def g_score(params: ModelParams, energies: np.ndarray) -> np.ndarray:
@@ -224,46 +301,30 @@ def sgd_step(
 
     Weight decay is added to the gradient of the MLP weight matrices only
     (not biases, not the detector head). Buffers follow the common
-    buf = mu*buf + g; step = g + mu*buf convention.
+    buf = mu*buf + g; step = g + mu*buf convention. The update runs on the
+    flat layout of ModelParams.flatten; the returned arrays are views of
+    two fresh vectors.
     """
     if step_index >= total_steps:
         raise ValueError(f"step_index {step_index} out of range for {total_steps} steps")
-    for name, g in grads.named_arrays():
-        if not np.isfinite(g).all():
-            raise ValueError(f"non-finite gradient in {name}")
-    if not (np.isfinite(grads.g_weight) and np.isfinite(grads.g_bias)):
-        raise ValueError("non-finite gradient in detector head")
+    g = grads.flatten()
+    if not np.isfinite(g).all():
+        bad = [name for name, a in grads.named_arrays() if not np.isfinite(a).all()]
+        raise ValueError(f"non-finite gradient in {(bad or ['detector head'])[0]}")
 
     lr = learning_rate(step_index, total_steps, cfg)
     mu = cfg.momentum
-    new_w, new_b = [], []
-    new_mom = momentum.zeros_like()
-
-    for i, (w, g, buf) in enumerate(
-        zip(params.layer_weights, grads.layer_weights, momentum.layer_weights)
-    ):
-        g_eff = g + cfg.weight_decay * w
-        buf = mu * buf + g_eff
-        new_mom.layer_weights[i] = buf
-        new_w.append(w - lr * (g_eff + mu * buf))
-    for i, (b, g, buf) in enumerate(
-        zip(params.layer_biases, grads.layer_biases, momentum.layer_biases)
-    ):
-        buf = mu * buf + g
-        new_mom.layer_biases[i] = buf
-        new_b.append(b - lr * (g + mu * buf))
-
-    buf_gw = mu * momentum.g_weight + grads.g_weight
-    buf_gb = mu * momentum.g_bias + grads.g_bias
-    new_mom.g_weight = buf_gw
-    new_mom.g_bias = buf_gb
-    head_lr = lr * cfg.head_lr_scale
-    out = ModelParams(
-        new_w,
-        new_b,
-        params.g_weight - head_lr * (grads.g_weight + mu * buf_gw),
-        params.g_bias - head_lr * (grads.g_bias + mu * buf_gb),
-    )
-    if not out.all_finite():
+    theta = params.flatten()
+    num_weights = sum(w.size for w in params.layer_weights)
+    g[:num_weights] += cfg.weight_decay * theta[:num_weights]
+    buf = momentum.flatten()
+    buf *= mu
+    buf += g
+    step = mu * buf
+    step += g
+    step[:-2] *= lr
+    step[-2:] *= lr * cfg.head_lr_scale
+    theta -= step
+    if not np.isfinite(theta).all():
         raise FloatingPointError("non-finite parameter after update step")
-    return out, new_mom
+    return params.unflatten(theta), params.unflatten(buf)

@@ -39,10 +39,12 @@ from .model import (
     OptimizerConfig,
     backward_from_logits,
     cross_entropy,
+    cross_entropy_from_log_softmax,
     energy,
     forward,
     forward_cached,
     init_params,
+    log_softmax_energy,
     sgd_step,
     softmax,
 )
@@ -113,12 +115,12 @@ def mix_batches(id_batch, cov_batch, sem_batch, rng: np.random.Generator) -> np.
     return pool[rng.permutation(pool.shape[0])]
 
 
-def _accumulate(target: ModelParams, other: ModelParams, scale: float = 1.0):
+def _accumulate(target: ModelParams, other: ModelParams):
     for i in range(len(target.layer_weights)):
-        target.layer_weights[i] += scale * other.layer_weights[i]
-        target.layer_biases[i] += scale * other.layer_biases[i]
-    target.g_weight += scale * other.g_weight
-    target.g_bias += scale * other.g_bias
+        target.layer_weights[i] += other.layer_weights[i]
+        target.layer_biases[i] += other.layer_biases[i]
+    target.g_weight += other.g_weight
+    target.g_bias += other.g_bias
 
 
 def _probe_scores(params, splits, mode, kind, delta, omega):
@@ -142,12 +144,16 @@ def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
     l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
         state, s_in, s_cov, hp, t
     )
-    grad = params.zeros_like()
-    if dl_dsin != 0.0:
-        _accumulate(grad, backward_from_logits(params, acts_in, dl_dsin * dz_in))
-    if dl_dscov != 0.0:
-        _accumulate(grad, backward_from_logits(params, acts_cov, dl_dscov * dz_cov))
-    return l_temp, w_temp, d_id, d_cov, grad
+    parts = [
+        backward_from_logits(params, acts, dl * dz)
+        for dl, acts, dz in ((dl_dsin, acts_in, dz_in), (dl_dscov, acts_cov, dz_cov))
+        if dl != 0.0
+    ]
+    if not parts:
+        return l_temp, w_temp, d_id, d_cov, params.zeros_like()
+    for other in parts[1:]:
+        _accumulate(parts[0], other)
+    return l_temp, w_temp, d_id, d_cov, parts[0]
 
 
 def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyperparams):
@@ -155,23 +161,29 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyp
 
     The ID batch feeds cross-entropy and the constrained in-distribution
     energy term; the wild batch feeds the out-energy term. Energy gradients
-    chain through dE/dz = -softmax(z).
+    chain through dE/dz = -softmax(z). Each batch takes its log-softmax and
+    energy from one log-partition, and softmax = exp(log-softmax) serves
+    both the cross-entropy gradient and the energy chain.
     """
     logits_id, acts_id = forward_cached(params, xb)
-    ce, dz_id = cross_entropy(logits_id, yb)
-    e_id = energy(logits_id)
+    logp_id, e_id = log_softmax_energy(logits_id)
+    probs_id = np.exp(logp_id)
     l_in_v, dlin_de, dlin_dgw, dlin_dgb = loss_in_grad(e_id, params, hp.eta)
     alm_v = alm_in(l_in_v, mult, hp)
     w_alm = alm_in_grad(l_in_v, mult, hp)
-    dz_id += (w_alm * dlin_de)[:, None] * (-softmax(logits_id))
+    # taken before cross_entropy_from_log_softmax turns probs_id into its gradient
+    dz_energy = (w_alm * dlin_de)[:, None] * probs_id
+    ce, dz_id = cross_entropy_from_log_softmax(logp_id, probs_id, yb)
+    dz_id -= dz_energy
     grads = backward_from_logits(params, acts_id, dz_id)
     grads.g_weight = w_alm * dlin_dgw
     grads.g_bias = w_alm * dlin_dgb
 
     logits_w, acts_w = forward_cached(params, wild_b)
-    e_w = energy(logits_w)
+    logp_w, e_w = log_softmax_energy(logits_w)
     l_out_v, dlout_de, dlout_dgw, dlout_dgb = loss_out_grad(e_w, params, hp.eta)
-    dz_w = (hp.lambda_out * dlout_de)[:, None] * (-softmax(logits_w))
+    dz_w = np.exp(logp_w, out=logp_w)
+    dz_w *= (-(hp.lambda_out * dlout_de))[:, None]
     _accumulate(grads, backward_from_logits(params, acts_w, dz_w))
     grads.g_weight += hp.lambda_out * dlout_dgw
     grads.g_bias += hp.lambda_out * dlout_dgb
@@ -237,6 +249,9 @@ def train_timestep(
         )
         temporal_state.history.append((splits.t, l_temp, w_temp, d_id, d_cov))
         temporal_active = l_temp != 0.0
+        if temporal_active:
+            # the per-minibatch share, the same scaled vector at every step
+            g_temp_step = g_temp.unflatten(g_temp.flatten() * (1.0 / steps_per_epoch))
 
         perm = rng.permutation(n)
         wild_pool = mix_batches(*sources, rng=rng)
@@ -249,7 +264,7 @@ def train_timestep(
                 params, x[rows], y[rows], wb, mult_state, hp
             )
             if temporal_active:
-                _accumulate(grads, g_temp, scale=1.0 / steps_per_epoch)
+                _accumulate(grads, g_temp_step)
             epoch_parts.append(
                 total_loss(ce, l_out_v, alm_v, l_temp, hp, l_in_value=l_in_v, w_temp=w_temp)
             )

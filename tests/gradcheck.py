@@ -7,24 +7,11 @@ from sconelab.model import ModelParams
 
 
 def flatten_params(p: ModelParams) -> np.ndarray:
-    vecs = [w.ravel() for w in p.layer_weights]
-    vecs += [b.ravel() for b in p.layer_biases]
-    vecs.append(np.array([p.g_weight, p.g_bias]))
-    return np.concatenate(vecs)
+    return p.flatten()
 
 
 def unflatten_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
-    out = template.zeros_like()
-    i = 0
-    for k, w in enumerate(template.layer_weights):
-        out.layer_weights[k] = vec[i : i + w.size].reshape(w.shape).copy()
-        i += w.size
-    for k, b in enumerate(template.layer_biases):
-        out.layer_biases[k] = vec[i : i + b.size].reshape(b.shape).copy()
-        i += b.size
-    out.g_weight = float(vec[i])
-    out.g_bias = float(vec[i + 1])
-    return out
+    return template.unflatten(vec)
 
 
 def fd_param_grad(fn, params: ModelParams, step: float = 1e-4) -> np.ndarray:

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sconelab.model import (
+    FORWARD_BLOCK_ROWS,
     ModelParams,
     OptimizerConfig,
     cross_entropy,
     energy,
     forward,
+    forward_cached,
     g_score,
     init_params,
     learning_rate,
+    log_softmax,
+    log_softmax_energy,
     sgd_step,
 )
 
@@ -202,3 +206,184 @@ def test_optimizer_config_validation():
         OptimizerConfig(decay_milestones=(0.5, 0.4))
     with pytest.raises(ValueError):
         OptimizerConfig(batch_size=0)
+
+
+def bits(*values) -> bytes:
+    """float64 bytes of arrays and scalars, for bitwise comparison."""
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 257, 2048])
+def test_blocked_forward_equals_forward_cached(n):
+    assert FORWARD_BLOCK_ROWS == 128  # the sizes straddle block boundaries
+    r = rng(11)
+    params = init_params(8, 6, hidden_sizes=(64, 64), rng=r)
+    x = r.normal(scale=2.0, size=(n, 8))
+    got = forward(params, x)
+    assert got.shape == (n, 6)
+    assert bits(got) == bits(forward_cached(params, x)[0])
+
+
+# Separate log-partitions per quantity: the formulas log_softmax_energy must
+# reproduce bit for bit.
+def ref_log_softmax(z):
+    m = z.max(axis=1, keepdims=True)
+    return z - m - np.log(np.exp(z - m).sum(axis=1, keepdims=True))
+
+
+def ref_energy(z):
+    m = z.max(axis=1)
+    return -(m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+
+
+def ref_cross_entropy(z, y):
+    n = z.shape[0]
+    logp = ref_log_softmax(z)
+    loss = -logp[np.arange(n), y].mean()
+    grad = np.exp(logp)
+    grad[np.arange(n), y] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.integers(2, 12),
+    st.floats(min_value=0.01, max_value=60.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_shared_log_partition_matches_reference_formulas(seed, n, k, scale):
+    r = rng(seed)
+    z = r.normal(scale=scale, size=(n, k))
+    y = r.integers(0, k, size=n)
+    logp, e = log_softmax_energy(z)
+    assert bits(logp) == bits(ref_log_softmax(z))
+    assert bits(e) == bits(ref_energy(z))
+    assert bits(log_softmax(z)) == bits(ref_log_softmax(z))
+    assert bits(energy(z)) == bits(ref_energy(z))
+    assert bits(*cross_entropy(z, y)) == bits(*ref_cross_entropy(z, y))
+
+
+def test_flatten_round_trip_and_layout():
+    params = init_params(3, 2, hidden_sizes=(4,), rng=rng(12))
+    params.g_weight, params.g_bias = 1.5, -0.25
+    vec = params.flatten()
+    assert vec.size == 3 * 4 + 4 * 2 + 4 + 2 + 2
+    assert bits(vec[:12]) == bits(params.layer_weights[0])
+    assert bits(vec[-2:]) == bits([1.5, -0.25])
+    back = params.unflatten(vec)
+    assert bits(back.flatten()) == bits(vec)
+    assert [w.shape for w in back.layer_weights] == [(3, 4), (4, 2)]
+    assert (back.g_weight, back.g_bias) == (1.5, -0.25)
+
+
+def per_array_sgd_step(params, grads, momentum, step_index, total_steps, cfg):
+    """The per-array Nesterov update sgd_step must reproduce bit for bit."""
+    lr = learning_rate(step_index, total_steps, cfg)
+    mu = cfg.momentum
+    new_w, new_b = [], []
+    new_mom = momentum.zeros_like()
+    for i, (w, g, buf) in enumerate(
+        zip(params.layer_weights, grads.layer_weights, momentum.layer_weights)
+    ):
+        g_eff = g + cfg.weight_decay * w
+        buf = mu * buf + g_eff
+        new_mom.layer_weights[i] = buf
+        new_w.append(w - lr * (g_eff + mu * buf))
+    for i, (b, g, buf) in enumerate(
+        zip(params.layer_biases, grads.layer_biases, momentum.layer_biases)
+    ):
+        buf = mu * buf + g
+        new_mom.layer_biases[i] = buf
+        new_b.append(b - lr * (g + mu * buf))
+    buf_gw = mu * momentum.g_weight + grads.g_weight
+    buf_gb = mu * momentum.g_bias + grads.g_bias
+    new_mom.g_weight = buf_gw
+    new_mom.g_bias = buf_gb
+    head_lr = lr * cfg.head_lr_scale
+    out = ModelParams(
+        new_w,
+        new_b,
+        params.g_weight - head_lr * (grads.g_weight + mu * buf_gw),
+        params.g_bias - head_lr * (grads.g_bias + mu * buf_gb),
+    )
+    return out, new_mom
+
+
+def random_like(template, r, scale):
+    out = template.zeros_like()
+    for arrays in (out.layer_weights, out.layer_biases):
+        for i, a in enumerate(arrays):
+            arrays[i] = r.normal(scale=scale, size=a.shape)
+    out.g_weight, out.g_bias = r.normal(scale=scale, size=2)
+    return out
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    input_dim=st.integers(1, 9),
+    hidden=st.lists(st.integers(1, 9), max_size=3),
+    num_classes=st.integers(2, 9),
+    mu=st.floats(min_value=0.0, max_value=0.99),
+    weight_decay=st.floats(min_value=0.0, max_value=0.1),
+    head_lr_scale=st.floats(min_value=0.0, max_value=2.0),
+    base_lr=st.floats(min_value=1e-6, max_value=1.0),
+    milestones=st.lists(
+        st.floats(min_value=0.01, max_value=0.99), min_size=0, max_size=3, unique=True
+    ),
+    total_steps=st.integers(1, 40),
+    step_frac=st.floats(min_value=0.0, max_value=0.999),
+)
+@settings(max_examples=150, deadline=None)
+def test_sgd_step_matches_per_array_update(
+    seed,
+    input_dim,
+    hidden,
+    num_classes,
+    mu,
+    weight_decay,
+    head_lr_scale,
+    base_lr,
+    milestones,
+    total_steps,
+    step_frac,
+):
+    r = rng(seed)
+    params = init_params(input_dim, num_classes, hidden_sizes=hidden, rng=r)
+    params.g_weight, params.g_bias = r.normal(size=2)
+    grads = random_like(params, r, 1.0)
+    momentum = random_like(params, r, 0.5)
+    cfg = OptimizerConfig(
+        base_lr=base_lr,
+        momentum=mu,
+        weight_decay=weight_decay,
+        head_lr_scale=head_lr_scale,
+        decay_milestones=tuple(sorted(milestones)),
+    )
+    step = int(step_frac * total_steps)
+    got_p, got_m = sgd_step(params, grads, momentum, step, total_steps, cfg)
+    want_p, want_m = per_array_sgd_step(params, grads, momentum, step, total_steps, cfg)
+    for got, want in ((got_p, want_p), (got_m, want_m)):
+        assert [a.shape for _, a in got.named_arrays()] == [a.shape for _, a in want.named_arrays()]
+        assert bits(*(a for _, a in got.named_arrays())) == bits(
+            *(a for _, a in want.named_arrays())
+        )
+        assert bits(got.g_weight, got.g_bias) == bits(want.g_weight, want.g_bias)
+
+
+def test_sgd_rejects_nonfinite_head_gradient():
+    params = init_params(3, 2, rng=rng(13))
+    grads = params.zeros_like()
+    grads.g_bias = np.inf
+    with pytest.raises(ValueError, match="non-finite gradient in detector head"):
+        sgd_step(params, grads, params.zeros_like(), 0, 1, OptimizerConfig())
+
+
+def test_sgd_rejects_overflowing_update():
+    params = init_params(3, 2, rng=rng(14))
+    grads = params.zeros_like()
+    grads.layer_weights[0] = np.full_like(params.layer_weights[0], 1e308)
+    cfg = OptimizerConfig(base_lr=1e3, momentum=0.9)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+        sgd_step(params, grads, params.zeros_like(), 0, 1, cfg)

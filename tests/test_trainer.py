@@ -7,7 +7,13 @@ from sconelab.losses import Hyperparams, MultiplierState
 from sconelab.model import OptimizerConfig, cross_entropy, forward, init_params
 from sconelab.scores import TemporalState
 from sconelab.stream import StreamConfig, make_timestep_splits, substream
-from sconelab.trainer import RunConfig, mix_batches, run_stream, train_timestep
+from sconelab.trainer import (
+    RunConfig,
+    _minibatch_loss_grads,
+    mix_batches,
+    run_stream,
+    train_timestep,
+)
 
 
 def small_cfg(method="temp_scone_atc", seed=0, **kwargs):
@@ -187,3 +193,16 @@ def test_separable_snapshot_trains_to_high_accuracy():
         cfg = small_cfg(stream=stream, seed=seed, epochs_per_timestep=10)
         accs.append(run_stream(cfg)[-1].id_acc)
     assert np.median(accs) >= 0.95
+
+
+@pytest.mark.parametrize("bad_batch", ["id", "wild"])
+def test_minibatch_loss_grads_rejects_nonfinite_logits(bad_batch):
+    r = np.random.default_rng(3)
+    params = init_params(5, 4, hidden_sizes=(8,), rng=r)
+    x = r.normal(size=(6, 5))
+    wild = r.normal(size=(6, 5))
+    (x if bad_batch == "id" else wild)[2, 1] = np.nan
+    with pytest.raises(ValueError, match="logits must be finite"):
+        _minibatch_loss_grads(
+            params, x, r.integers(0, 4, size=6), wild, MultiplierState(), Hyperparams()
+        )
