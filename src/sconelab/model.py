@@ -10,10 +10,21 @@ the finite-difference checks perturb the same vector.
 The no-grad forward pass runs in blocks of FORWARD_BLOCK_ROWS rows, so its
 temporaries stay small on full-split passes. Rows do not interact and no
 block is a single row, so its logits equal forward_cached's bit for bit.
+
+Training runs on one BLAS thread (single_blas_thread, entered by
+trainer.run_stream). Every matmul here has at most 128 rows (a minibatch
+or a forward block) by 64 columns, yet OpenBLAS still splits the 128 x 64
+x 64 hidden-layer product across its threads, and the second thread spins
+without making the product faster: on a 2-core host the benchmark's
+compare_grid took a median 5.3 s of CPU for 2.7 s of wall time with 2
+threads, and 2.6 s of CPU for 2.6 s with one. Records are bitwise the
+same on either count (tests/test_trajectory_golden.py pins them).
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +34,58 @@ import numpy as np
 # temporaries reuse heap memory; larger ones are fresh mappings that page
 # fault on every call.
 FORWARD_BLOCK_ROWS = 128
+
+# (get, set) thread-count symbols of OpenBLAS, tried in order: numpy 2
+# wheels (scipy-openblas, 64-bit ints), numpy 1.x wheels, system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _find_openblas_thread_api():
+    """(get, set) thread-count functions of numpy's OpenBLAS, or None.
+
+    dlsym on the handle of numpy's _multiarray_umath extension also finds
+    the symbols of the libraries it links, so this finds the BLAS numpy
+    itself calls, whether a wheel bundles it or the system provides it.
+    """
+    try:
+        from numpy._core import _multiarray_umath as ext
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as ext
+    try:
+        lib = ctypes.CDLL(ext.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+_OPENBLAS_THREADS = _find_openblas_thread_api()
+
+
+def single_blas_thread() -> ExitStack:
+    """Put OpenBLAS on one thread; the returned context restores the old count.
+
+    Use as `with single_blas_thread():`. The count is restored when the
+    block exits, also on an exception. Does nothing when numpy's OpenBLAS
+    thread functions were not found.
+    """
+    restore = ExitStack()
+    if _OPENBLAS_THREADS is not None:
+        get, set_ = _OPENBLAS_THREADS
+        restore.callback(set_, get())
+        set_(1)
+    return restore
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import erf
 
 _DIST_TOL = 1e-12
@@ -184,6 +183,8 @@ def fisher_info_gaussian(sigma: float) -> float:
 
 def _chi2_gaussian_quadrature(delta: float, sigma: float) -> float:
     """Numeric integral of p^2/q - 1 for the shifted-Gaussian pair."""
+    # Imported here: scipy.integrate is a third of `import sconelab.cli`.
+    from scipy import integrate
 
     def integrand(x):
         p = np.exp(-((x - delta) ** 2) / (2 * sigma**2)) / (sigma * np.sqrt(2 * np.pi))

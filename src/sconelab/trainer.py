@@ -46,6 +46,7 @@ from .model import (
     init_params,
     log_softmax_energy,
     sgd_step,
+    single_blas_thread,
     softmax,
 )
 from .scores import (
@@ -318,56 +319,62 @@ def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsR
     """Train sequentially over all timesteps and return one record per t.
 
     When param_trace is a list, a copy of the parameters is appended after
-    every timestep (used by trajectory-equality tests).
+    every timestep (used by trajectory-equality tests). Training runs on one
+    BLAS thread; the caller's thread count is restored on return.
     """
-    stream_cfg = replace(cfg.stream, seed=cfg.seed)
-    hp = cfg.effective_hyper()
-    params = init_params(
-        stream_cfg.input_dim,
-        stream_cfg.num_classes,
-        cfg.hidden_sizes,
-        substream(cfg.seed, PURPOSE_INIT),
-    )
-    momentum = params.zeros_like()
-    temporal_state = TemporalState(cfg.mode)
-    mult_state = MultiplierState()
-    delta = hp.delta
-    late_optimizer = cfg.optimizer
-    if stream_cfg.regime == REGIME_DISTINCT:
-        late_optimizer = replace(cfg.optimizer, base_lr=cfg.optimizer.base_lr * 5.0)
+    with single_blas_thread():
+        stream_cfg = replace(cfg.stream, seed=cfg.seed)
+        hp = cfg.effective_hyper()
+        params = init_params(
+            stream_cfg.input_dim,
+            stream_cfg.num_classes,
+            cfg.hidden_sizes,
+            substream(cfg.seed, PURPOSE_INIT),
+        )
+        momentum = params.zeros_like()
+        temporal_state = TemporalState(cfg.mode)
+        mult_state = MultiplierState()
+        delta = hp.delta
+        late_optimizer = cfg.optimizer
+        if stream_cfg.regime == REGIME_DISTINCT:
+            late_optimizer = replace(cfg.optimizer, base_lr=cfg.optimizer.base_lr * 5.0)
 
-    records: list[MetricsRecord] = []
-    for t in range(stream_cfg.num_timesteps):
-        # The first wild pass revisits the initialization domain at the base
-        # rate; the boosted rate kicks in with the first fresh domain (t >= 2).
-        optimizer = late_optimizer if t >= 2 else cfg.optimizer
-        splits = make_timestep_splits(stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size)
-        if t == 0:
-            params, momentum, breakdown = _train_ce_only(
-                params, momentum, splits, cfg, cfg.optimizer, hp
+        records: list[MetricsRecord] = []
+        for t in range(stream_cfg.num_timesteps):
+            # The first wild pass revisits the initialization domain at the base
+            # rate; the boosted rate kicks in with the first fresh domain (t >= 2).
+            optimizer = late_optimizer if t >= 2 else cfg.optimizer
+            splits = make_timestep_splits(
+                stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size
             )
-            delta = _fit_delta(params, splits, cfg.score_kind)
-            s_in, s_cov = _probe_scores(params, splits, cfg.mode, cfg.score_kind, delta, hp.omega)
-            temporal_state.prev_in_score = s_in
-            temporal_state.prev_cov_score = s_cov
-            record = evaluate_timestep(
-                params, splits, hp, temporal_state, cfg.score_kind, delta, breakdown
-            )
-        else:
-            params, momentum, mult_state, temporal_state, record = train_timestep(
-                params,
-                momentum,
-                splits,
-                cfg,
-                optimizer,
-                hp,
-                mult_state,
-                temporal_state,
-                delta,
-            )
-            if cfg.refit_delta:
+            if t == 0:
+                params, momentum, breakdown = _train_ce_only(
+                    params, momentum, splits, cfg, cfg.optimizer, hp
+                )
                 delta = _fit_delta(params, splits, cfg.score_kind)
-        records.append(record)
-        if param_trace is not None:
-            param_trace.append(params.copy())
-    return records
+                s_in, s_cov = _probe_scores(
+                    params, splits, cfg.mode, cfg.score_kind, delta, hp.omega
+                )
+                temporal_state.prev_in_score = s_in
+                temporal_state.prev_cov_score = s_cov
+                record = evaluate_timestep(
+                    params, splits, hp, temporal_state, cfg.score_kind, delta, breakdown
+                )
+            else:
+                params, momentum, mult_state, temporal_state, record = train_timestep(
+                    params,
+                    momentum,
+                    splits,
+                    cfg,
+                    optimizer,
+                    hp,
+                    mult_state,
+                    temporal_state,
+                    delta,
+                )
+                if cfg.refit_delta:
+                    delta = _fit_delta(params, splits, cfg.score_kind)
+            records.append(record)
+            if param_trace is not None:
+                param_trace.append(params.copy())
+        return records

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -184,3 +187,15 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, "[experiment]\nmethods = nope\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_cli_import_defers_scipy_integrate():
+    # only verify-theory's quadrature needs scipy.integrate; every CLI start
+    # would pay for importing it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, sconelab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

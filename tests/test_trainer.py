@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sconelab import model as model_mod
+from sconelab import trainer as trainer_mod
 from sconelab.losses import Hyperparams, MultiplierState
 from sconelab.model import OptimizerConfig, cross_entropy, forward, init_params
 from sconelab.scores import TemporalState
@@ -206,3 +208,55 @@ def test_minibatch_loss_grads_rejects_nonfinite_logits(bad_batch):
         _minibatch_loss_grads(
             params, x, r.integers(0, 4, size=6), wild, MultiplierState(), Hyperparams()
         )
+
+
+needs_openblas = pytest.mark.skipif(
+    model_mod._OPENBLAS_THREADS is None, reason="numpy's OpenBLAS thread functions not found"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS getter, with the count set to 2 for the test and reset after."""
+    get, set_ = model_mod._OPENBLAS_THREADS
+    original = get()
+    set_(2)
+    yield get
+    set_(original)
+
+
+@needs_openblas
+def test_run_stream_trains_on_one_blas_thread_and_restores(monkeypatch, blas_threads):
+    caller = blas_threads()
+    seen = []
+    make_splits = trainer_mod.make_timestep_splits
+
+    def spy(*args, **kwargs):
+        seen.append(blas_threads())
+        return make_splits(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "make_timestep_splits", spy)
+    run_stream(small_cfg())
+    assert seen == [1, 1, 1]
+    assert blas_threads() == caller
+
+
+@needs_openblas
+def test_run_stream_restores_blas_threads_on_error(monkeypatch, blas_threads):
+    caller = blas_threads()
+
+    def boom(*args, **kwargs):
+        assert blas_threads() == 1
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(trainer_mod, "make_timestep_splits", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        run_stream(small_cfg())
+    assert blas_threads() == caller
+
+
+def test_run_stream_records_same_without_openblas(monkeypatch):
+    pinned = run_stream(small_cfg(method="temp_scone_ac", seed=2))
+    monkeypatch.setattr(model_mod, "_OPENBLAS_THREADS", None)
+    unpinned = run_stream(small_cfg(method="temp_scone_ac", seed=2))
+    assert [r.to_json() for r in unpinned] == [r.to_json() for r in pinned]
