@@ -6,76 +6,29 @@ default, unknown sections or keys are rejected, and parse(serialize(spec))
 reproduces the spec exactly. Schedules accept a scalar (broadcast over
 timesteps) or a comma-separated per-timestep list.
 
-The [optimizer] defaults here are desk-scale: synthetic streams train a
-fresh MLP from scratch, which needs a larger step size than the
-fine-tuning rate OptimizerConfig carries as its dataclass default.
+SECTIONS maps each section to the dataclass that holds it, and the keys of
+a section are that dataclass's fields, parsed by their annotated types:
+int, float, str, bool, an Enum (by value), a tuple (comma-separated), or a
+`tuple | None` schedule. Adding a knob is therefore one field with a default
+on the dataclass; give it an entry in _INI_NAMES only if its key should
+differ from the field name.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import io
-from dataclasses import dataclass, replace
+import types
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .losses import Hyperparams
 from .model import OptimizerConfig
-from .scores import ScoreKind
 from .stream import StreamConfig
-from .trainer import METHODS, RunConfig
-
-DESK_BASE_LR = 0.01
+from .trainer import METHOD_TEMP_ATC, METHODS, RunConfig
 
 EMIT_MODES = ("csv", "json", "both")
-
-_SECTIONS = ("experiment", "stream", "optimizer", "hyper", "run")
-
-_EXPERIMENT_KEYS = ("methods", "seeds", "emit", "out_dir")
-_STREAM_KEYS = (
-    "num_timesteps",
-    "num_classes",
-    "input_dim",
-    "regime",
-    "pi_cov",
-    "pi_sem",
-    "corruption_sigma",
-    "drift_angle_per_step",
-    "samples_per_split",
-    "class_cov_scale",
-)
-_OPTIMIZER_KEYS = (
-    "base_lr",
-    "momentum",
-    "weight_decay",
-    "batch_size",
-    "decay_milestones",
-    "decay_factor",
-    "head_lr_scale",
-)
-_HYPER_KEYS = (
-    "eta",
-    "lambda_out",
-    "lambda_in",
-    "lambda_base",
-    "lambda_temp",
-    "delta_max",
-    "epsilon",
-    "delta",
-    "omega",
-    "fpr_cutoff",
-    "ce_tol",
-    "lr_lambda",
-    "alpha",
-    "tau",
-)
-_RUN_KEYS = (
-    "epochs_per_timestep",
-    "probe_size",
-    "score_kind",
-    "refit_delta",
-    "val_size",
-    "test_size",
-    "hidden_sizes",
-)
 
 
 class ConfigError(ValueError):
@@ -84,61 +37,107 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    methods: tuple[str, ...]
-    seeds: tuple[int, ...]
-    emit: str
-    out_dir: str
-    base_run: RunConfig
+    methods: tuple[str, ...] = (METHOD_TEMP_ATC,)
+    seeds: tuple[int, ...] = (0,)
+    emit: str = "both"
+    out_dir: str = "results"
+    base_run: RunConfig = field(default_factory=RunConfig)
+
+    def __post_init__(self):
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        if self.emit not in EMIT_MODES:
+            raise ValueError(f"emit must be one of {EMIT_MODES}, got {self.emit!r}")
 
     def run_config(self, method: str, seed: int) -> RunConfig:
         return replace(self.base_run, method=method, seed=seed)
 
 
-def default_run_config(method: str = "temp_scone_atc", seed: int = 0) -> RunConfig:
-    """The documented desk-scale experiment defaults."""
-    return RunConfig(
-        stream=StreamConfig(),
-        optimizer=OptimizerConfig(base_lr=DESK_BASE_LR),
-        hyper=Hyperparams(),
-        method=method,
-        seed=seed,
-    )
+SECTIONS = {
+    "experiment": ExperimentSpec,
+    "stream": StreamConfig,
+    "optimizer": OptimizerConfig,
+    "hyper": Hyperparams,
+    "run": RunConfig,
+}
+
+# Field name -> INI key, where the two differ.
+_INI_NAMES = {
+    "pi_cov_schedule": "pi_cov",
+    "pi_sem_schedule": "pi_sem",
+    "corruption_sigma_schedule": "corruption_sigma",
+    "lambda_in_penalty": "lambda_in",
+}
+
+# Fields that are not keys: the sections nested in the spec, and the method
+# and seed that [experiment] sets per run.
+_NOT_KEYS = frozenset({"base_run", "stream", "optimizer", "hyper", "method", "seed"})
+
+
+def _section_keys(cls) -> dict[str, tuple[str, object]]:
+    """INI key -> (field name, annotated type) for one section's dataclass."""
+    hints = get_type_hints(cls)
+    return {
+        _INI_NAMES.get(f.name, f.name): (f.name, hints[f.name])
+        for f in fields(cls)
+        if f.name not in _NOT_KEYS
+    }
+
+
+KEYS = {section: _section_keys(cls) for section, cls in SECTIONS.items()}
 
 
 def default_spec() -> ExperimentSpec:
-    return ExperimentSpec(
-        methods=("temp_scone_atc",),
-        seeds=(0,),
-        emit="both",
-        out_dir="results",
-        base_run=default_run_config(),
-    )
+    return ExperimentSpec()
 
 
-def _parse_scalar(path: str, raw: str, kind):
+def _parse_value(raw: str, kind):
+    """Parse one INI value as the annotated type `kind`; raises ValueError."""
+    if isinstance(kind, types.UnionType):
+        # a schedule: one value broadcasts over timesteps, a list is per-timestep
+        values = _parse_value(raw, get_args(kind)[0])
+        return values[0] if len(values) == 1 else values
+    if get_origin(kind) is tuple:
+        items = [part.strip() for part in raw.split(",") if part.strip()]
+        if not items:
+            raise ValueError("empty list")
+        return tuple(_parse_value(item, get_args(kind)[0]) for item in items)
+    if kind is bool:
+        if raw.lower() in ("true", "yes", "1"):
+            return True
+        if raw.lower() in ("false", "no", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    if issubclass(kind, enum.Enum):
+        try:
+            return kind(raw)
+        except ValueError:
+            choices = [member.value for member in kind]
+            raise ValueError(f"unknown value {raw!r}; choose from {choices}") from None
+    return kind(raw)
+
+
+def _section_kwargs(parser: configparser.ConfigParser, section: str) -> dict:
+    if not parser.has_section(section):
+        return {}
+    kwargs = {}
+    for key, raw in parser[section].items():
+        if key not in KEYS[section]:
+            raise ConfigError(f"unknown key [{section}] {key}")
+        name, kind = KEYS[section][key]
+        try:
+            kwargs[name] = _parse_value(raw, kind)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return kwargs
+
+
+def _build(section: str, kwargs: dict):
     try:
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
+        return SECTIONS[section](**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _parse_list(path: str, raw: str, kind):
-    items = [part.strip() for part in raw.split(",") if part.strip()]
-    if not items:
-        raise ConfigError(f"{path}: empty list")
-    return tuple(_parse_scalar(path, item, kind) for item in items)
-
-
-def _schedule_or_scalar(path: str, raw: str):
-    values = _parse_list(path, raw, float)
-    return values[0] if len(values) == 1 else values
+        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def parse_config_text(text: str) -> ExperimentSpec:
@@ -147,164 +146,24 @@ def parse_config_text(text: str) -> ExperimentSpec:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax: {exc}") from None
-
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
-    allowed = {
-        "experiment": _EXPERIMENT_KEYS,
-        "stream": _STREAM_KEYS,
-        "optimizer": _OPTIMIZER_KEYS,
-        "hyper": _HYPER_KEYS,
-        "run": _RUN_KEYS,
-    }
-    for section in parser.sections():
-        for key in parser[section]:
-            if key not in allowed[section]:
-                raise ConfigError(f"unknown key [{section}] {key}")
+    kwargs = {section: _section_kwargs(parser, section) for section in SECTIONS}
 
-    def get(section, key):
-        return parser.get(section, key, fallback=None) if parser.has_section(section) else None
-
-    methods = (
-        _parse_list("[experiment] methods", get("experiment", "methods"), str)
-        if get("experiment", "methods") is not None
-        else ("temp_scone_atc",)
+    spec = _build("experiment", kwargs["experiment"])
+    base_run = _build(
+        "run",
+        {
+            **kwargs["run"],
+            "stream": _build("stream", kwargs["stream"]),
+            "optimizer": _build("optimizer", kwargs["optimizer"]),
+            "hyper": _build("hyper", kwargs["hyper"]),
+            "method": spec.methods[0],
+            "seed": spec.seeds[0],
+        },
     )
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"[experiment] methods: unknown method {m!r}; choose from {METHODS}")
-    seeds = (
-        _parse_list("[experiment] seeds", get("experiment", "seeds"), int)
-        if get("experiment", "seeds") is not None
-        else (0,)
-    )
-    emit = get("experiment", "emit") or "both"
-    if emit not in EMIT_MODES:
-        raise ConfigError(f"[experiment] emit: must be one of {EMIT_MODES}, got {emit!r}")
-    out_dir = get("experiment", "out_dir") or "results"
-
-    stream_kwargs = {}
-    scalar_stream = {
-        "num_timesteps": int,
-        "num_classes": int,
-        "input_dim": int,
-        "regime": str,
-        "drift_angle_per_step": float,
-        "samples_per_split": int,
-        "class_cov_scale": float,
-    }
-    for key, kind in scalar_stream.items():
-        raw = get("stream", key)
-        if raw is not None:
-            stream_kwargs[key] = _parse_scalar(f"[stream] {key}", raw, kind)
-    for key, target in (
-        ("pi_cov", "pi_cov_schedule"),
-        ("pi_sem", "pi_sem_schedule"),
-        ("corruption_sigma", "corruption_sigma_schedule"),
-    ):
-        raw = get("stream", key)
-        if raw is not None:
-            stream_kwargs[target] = _schedule_or_scalar(f"[stream] {key}", raw)
-    try:
-        stream = StreamConfig(**stream_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[stream]: {exc}") from None
-
-    opt_kwargs = {"base_lr": DESK_BASE_LR}
-    scalar_opt = {
-        "base_lr": float,
-        "momentum": float,
-        "weight_decay": float,
-        "batch_size": int,
-        "decay_factor": float,
-        "head_lr_scale": float,
-    }
-    for key, kind in scalar_opt.items():
-        raw = get("optimizer", key)
-        if raw is not None:
-            opt_kwargs[key] = _parse_scalar(f"[optimizer] {key}", raw, kind)
-    raw = get("optimizer", "decay_milestones")
-    if raw is not None:
-        opt_kwargs["decay_milestones"] = _parse_list("[optimizer] decay_milestones", raw, float)
-    try:
-        optimizer = OptimizerConfig(**opt_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[optimizer]: {exc}") from None
-
-    hyper_kwargs = {}
-    hyper_fields = {
-        "eta": "eta",
-        "lambda_out": "lambda_out",
-        "lambda_in": "lambda_in_penalty",
-        "lambda_base": "lambda_base",
-        "delta_max": "delta_max",
-        "epsilon": "epsilon",
-        "delta": "delta",
-        "omega": "omega",
-        "fpr_cutoff": "fpr_cutoff",
-        "ce_tol": "ce_tol",
-        "lr_lambda": "lr_lambda",
-        "alpha": "alpha",
-        "tau": "tau",
-    }
-    for key, target in hyper_fields.items():
-        raw = get("hyper", key)
-        if raw is not None:
-            hyper_kwargs[target] = _parse_scalar(f"[hyper] {key}", raw, float)
-    raw_alias = get("hyper", "lambda_temp")
-    if raw_alias is not None:
-        alias = _parse_scalar("[hyper] lambda_temp", raw_alias, float)
-        if "lambda_base" in hyper_kwargs and hyper_kwargs["lambda_base"] != alias:
-            raise ConfigError(
-                "[hyper] lambda_temp: conflicts with lambda_base "
-                f"({alias} vs {hyper_kwargs['lambda_base']}); they are aliases"
-            )
-        hyper_kwargs["lambda_base"] = alias
-    try:
-        hyper = Hyperparams(**hyper_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[hyper]: {exc}") from None
-
-    run_kwargs = {}
-    scalar_run = {
-        "epochs_per_timestep": int,
-        "probe_size": int,
-        "refit_delta": bool,
-        "val_size": int,
-        "test_size": int,
-    }
-    for key, kind in scalar_run.items():
-        raw = get("run", key)
-        if raw is not None:
-            run_kwargs[key] = _parse_scalar(f"[run] {key}", raw, kind)
-    raw = get("run", "score_kind")
-    if raw is not None:
-        try:
-            run_kwargs["score_kind"] = ScoreKind(raw.strip())
-        except ValueError:
-            raise ConfigError(
-                f"[run] score_kind: unknown kind {raw!r}; choose from "
-                f"{[k.value for k in ScoreKind]}"
-            ) from None
-    raw = get("run", "hidden_sizes")
-    if raw is not None:
-        run_kwargs["hidden_sizes"] = _parse_list("[run] hidden_sizes", raw, int)
-    try:
-        base_run = RunConfig(
-            stream=stream,
-            optimizer=optimizer,
-            hyper=hyper,
-            method=methods[0],
-            seed=seeds[0],
-            **run_kwargs,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[run]: {exc}") from None
-
-    return ExperimentSpec(
-        methods=methods, seeds=seeds, emit=emit, out_dir=out_dir, base_run=base_run
-    )
+    return replace(spec, base_run=base_run)
 
 
 def parse_config(path) -> ExperimentSpec:
@@ -319,7 +178,7 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, (tuple, list)):
         return ", ".join(_fmt(v) for v in value)
-    if isinstance(value, ScoreKind):
+    if isinstance(value, enum.Enum):
         return value.value
     return str(value)
 
@@ -327,61 +186,18 @@ def _fmt(value) -> str:
 def serialize_spec(spec: ExperimentSpec) -> str:
     """Fully explicit INI text; parse_config_text round-trips it exactly."""
     run = spec.base_run
-    stream = run.stream
-    opt = run.optimizer
-    hp = run.hyper
+    values = {
+        "experiment": spec,
+        "stream": run.stream,
+        "optimizer": run.optimizer,
+        "hyper": run.hyper,
+        "run": run,
+    }
     parser = configparser.ConfigParser(interpolation=None)
-    parser["experiment"] = {
-        "methods": _fmt(spec.methods),
-        "seeds": _fmt(spec.seeds),
-        "emit": spec.emit,
-        "out_dir": spec.out_dir,
-    }
-    parser["stream"] = {
-        "num_timesteps": _fmt(stream.num_timesteps),
-        "num_classes": _fmt(stream.num_classes),
-        "input_dim": _fmt(stream.input_dim),
-        "regime": stream.regime,
-        "pi_cov": _fmt(stream.pi_cov_schedule),
-        "pi_sem": _fmt(stream.pi_sem_schedule),
-        "corruption_sigma": _fmt(stream.corruption_sigma_schedule),
-        "drift_angle_per_step": _fmt(stream.drift_angle_per_step),
-        "samples_per_split": _fmt(stream.samples_per_split),
-        "class_cov_scale": _fmt(stream.class_cov_scale),
-    }
-    parser["optimizer"] = {
-        "base_lr": _fmt(opt.base_lr),
-        "momentum": _fmt(opt.momentum),
-        "weight_decay": _fmt(opt.weight_decay),
-        "batch_size": _fmt(opt.batch_size),
-        "decay_milestones": _fmt(opt.decay_milestones),
-        "decay_factor": _fmt(opt.decay_factor),
-        "head_lr_scale": _fmt(opt.head_lr_scale),
-    }
-    parser["hyper"] = {
-        "eta": _fmt(hp.eta),
-        "lambda_out": _fmt(hp.lambda_out),
-        "lambda_in": _fmt(hp.lambda_in_penalty),
-        "lambda_base": _fmt(hp.lambda_base),
-        "delta_max": _fmt(hp.delta_max),
-        "epsilon": _fmt(hp.epsilon),
-        "delta": _fmt(hp.delta),
-        "omega": _fmt(hp.omega),
-        "fpr_cutoff": _fmt(hp.fpr_cutoff),
-        "ce_tol": _fmt(hp.ce_tol),
-        "lr_lambda": _fmt(hp.lr_lambda),
-        "alpha": _fmt(hp.alpha),
-        "tau": _fmt(hp.tau),
-    }
-    parser["run"] = {
-        "epochs_per_timestep": _fmt(run.epochs_per_timestep),
-        "probe_size": _fmt(run.probe_size),
-        "score_kind": _fmt(run.score_kind),
-        "refit_delta": _fmt(run.refit_delta),
-        "val_size": _fmt(run.val_size),
-        "test_size": _fmt(run.test_size),
-        "hidden_sizes": _fmt(run.hidden_sizes),
-    }
+    for section, keys in KEYS.items():
+        parser[section] = {
+            key: _fmt(getattr(values[section], name)) for key, (name, _) in keys.items()
+        }
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

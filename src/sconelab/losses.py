@@ -18,7 +18,7 @@ the ramp.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -39,10 +39,7 @@ class Hyperparams:
     delta: float = 0.5
     omega: float = 0.05
     fpr_cutoff: float = 0.05
-    ce_tol: float = 2.0
     lr_lambda: float = 0.1
-    alpha: float = 0.05
-    tau: float = 0.05
 
     def __post_init__(self):
         if self.eta >= 0.0:
@@ -57,26 +54,15 @@ class Hyperparams:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not 0.0 < self.fpr_cutoff < 1.0:
             raise ValueError(f"fpr_cutoff must be in (0, 1), got {self.fpr_cutoff}")
-        if self.ce_tol < 1.0:
-            raise ValueError(f"ce_tol must be >= 1, got {self.ce_tol}")
         if self.lr_lambda <= 0.0:
             raise ValueError(f"lr_lambda must be > 0, got {self.lr_lambda}")
-        if not 0.0 < self.alpha < 1.0 or not 0.0 < self.tau < 1.0:
-            raise ValueError("alpha and tau must be in (0, 1)")
-
-    @property
-    def lambda_temp(self) -> float:
-        """Alias: the base temporal weight doubles as the temporal multiplier."""
-        return self.lambda_base
 
 
 @dataclass(frozen=True)
 class MultiplierState:
-    """Dual variables and the timestep's frozen baseline classification loss."""
+    """Dual variable of the ID-energy constraint, carried across timesteps."""
 
     lambda_in_mult: float = 0.0
-    lambda_ce_mult: float = 0.0
-    baseline_ce: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -224,12 +210,8 @@ def total_loss(
 
 
 def update_multipliers(
-    state: MultiplierState, l_in_epoch: float, ce_epoch: float, hp: Hyperparams
+    state: MultiplierState, l_in_epoch: float, hp: Hyperparams
 ) -> MultiplierState:
-    """Dual ascent on both multipliers, clipped to stay nonnegative."""
+    """Dual ascent on the ID-energy multiplier, clipped to stay nonnegative."""
     lam = max(0.0, state.lambda_in_mult + hp.lr_lambda * (l_in_epoch - hp.fpr_cutoff))
-    lam2 = max(
-        0.0,
-        state.lambda_ce_mult + hp.lr_lambda * (ce_epoch - hp.ce_tol * state.baseline_ce),
-    )
-    return replace(state, lambda_in_mult=lam, lambda_ce_mult=lam2)
+    return MultiplierState(lambda_in_mult=lam)

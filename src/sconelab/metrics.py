@@ -62,25 +62,12 @@ class MetricsRecord:
     loss: LossBreakdown
 
     def to_row(self) -> list:
+        """Values in CSV_COLUMNS order; loss_<name> reads self.loss.<name>."""
         return [
-            self.t,
-            self.id_acc,
-            self.ood_acc,
-            self.fpr95,
-            self.lambda_threshold,
-            self.atc_in,
-            self.atc_cov,
-            self.ac_in,
-            self.ac_cov,
-            self.drift_d_id,
-            self.drift_d_cov,
-            self.loss.ce,
-            self.loss.l_in,
-            self.loss.l_out,
-            self.loss.alm_in,
-            self.loss.l_temp,
-            self.loss.w_temp,
-            self.loss.total,
+            getattr(self.loss, c.removeprefix("loss_"))
+            if c.startswith("loss_")
+            else getattr(self, c)
+            for c in CSV_COLUMNS
         ]
 
     def to_json(self) -> str:

@@ -97,7 +97,7 @@ class OptimizerConfig:
     decay_factor once per milestone passed.
     """
 
-    base_lr: float = 0.0001
+    base_lr: float = 0.01
     momentum: float = 0.9
     weight_decay: float = 0.0005
     batch_size: int = 128
@@ -336,14 +336,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """
     logp, _ = log_softmax_energy(logits)
     return cross_entropy_from_log_softmax(logp, np.exp(logp), labels)
-
-
-def g_score(params: ModelParams, energies: np.ndarray) -> np.ndarray:
-    """Affine detector head applied to energies."""
-    e = np.asarray(energies, dtype=float)
-    if not np.isfinite(e).all():
-        raise ValueError("energies must be finite")
-    return params.g_weight * e + params.g_bias
 
 
 def learning_rate(step_index: int, total_steps: int, cfg: OptimizerConfig) -> float:

@@ -1,6 +1,6 @@
 """Confidence scoring: max-softmax and negative-entropy scores, threshold
 fitting, hard and sigmoid-smoothed threshold-count estimates, and the
-temporal-shift test.
+per-mode temporal state the drift penalty compares against.
 
 Negative-entropy scores are affinely rescaled to [0, 1] before any
 smoothing or drift comparison so the smoothing width, drift tolerance and
@@ -151,10 +151,3 @@ def diff_ac_grad_logits(logits: np.ndarray):
     """diff_ac on softmax(logits) plus its gradient w.r.t. the logits."""
     s, ds_dz = unit_scores_grad_logits(logits, ScoreKind.MAX_CONFIDENCE)
     return float(s.mean()), ds_dz / s.size
-
-
-def temporal_shift_detected(score_t: float, score_prev: float, epsilon: float) -> bool:
-    """True iff the score moved by strictly more than epsilon."""
-    if epsilon < 0.0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    return abs(score_t - score_prev) > epsilon

@@ -15,7 +15,6 @@ evaluation; training code receives label-free feature arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,71 +258,6 @@ def sample_wild(
             features[mask] = draw
             labels[mask] = lab
     return WildBatch(features, tags, labels)
-
-
-@dataclass(frozen=True)
-class TableSchema:
-    feature_columns: tuple[str, ...]
-    label_column: str
-    split_column: str | None = None
-    num_classes: int | None = None
-
-
-@dataclass
-class TableData:
-    features: np.ndarray
-    labels: np.ndarray
-    splits: np.ndarray | None = None
-
-
-def ingest_table(path, schema: TableSchema) -> TableData:
-    """Load a comma-separated table with a one-line header.
-
-    Declared feature columns parse as floats, the label column as a
-    nonnegative int (< num_classes when the schema declares it). Errors
-    name the offending 1-based data row.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: no rows") from None
-        header = [h.strip() for h in header]
-        wanted = list(schema.feature_columns) + [schema.label_column]
-        if schema.split_column is not None:
-            wanted.append(schema.split_column)
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        col_idx = {c: header.index(c) for c in wanted}
-
-        feats, labels, splits = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {row_no} has {len(row)} fields, expected {len(header)}"
-                )
-            try:
-                feats.append([float(row[col_idx[c]]) for c in schema.feature_columns])
-                label = int(row[col_idx[schema.label_column]])
-            except ValueError:
-                raise ValueError(f"{path}: row {row_no} is malformed") from None
-            upper = schema.num_classes
-            if label < 0 or (upper is not None and label >= upper):
-                raise ValueError(
-                    f"{path}: row {row_no} label {label} out of range [0, {upper})"
-                )
-            labels.append(label)
-            if schema.split_column is not None:
-                splits.append(row[col_idx[schema.split_column]].strip())
-    if not feats:
-        raise ValueError(f"{path}: no rows")
-    return TableData(
-        np.asarray(feats, dtype=float),
-        np.asarray(labels, dtype=int),
-        np.asarray(splits) if schema.split_column is not None else None,
-    )
 
 
 @dataclass

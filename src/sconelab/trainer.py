@@ -2,16 +2,23 @@
 
 Timestep 0 trains with cross-entropy only and serves as initialization;
 later timesteps add the energy losses, the augmented-Lagrangian constraint
-and the temporal penalty. The temporal term is evaluated once per epoch on
-fixed probe subsets; its value stays constant across the epoch's
-minibatches and its parameter gradient is folded into every minibatch step
-scaled by 1/(#minibatches). Multipliers are updated by dual ascent after
-each epoch from full-split losses. Model, multipliers and temporal state
-all carry forward across timesteps.
+and the temporal penalty. Both run through train_timestep's one epoch
+loop. The temporal term is evaluated once per epoch on fixed probe
+subsets; its value stays constant across the epoch's minibatches and its
+parameter gradient is folded into every minibatch step scaled by
+1/(#minibatches). The ID-energy multiplier is updated by dual ascent after
+each epoch from the full-split ID energy loss. Model, multiplier and
+temporal state all carry forward across timesteps.
 
 The plain energy-margin baseline ("scone") runs the identical code path
 with the temporal weight forced to zero, which keeps its trajectory
 bitwise comparable to the temporally regularized variants.
+
+In the distinct regime every timestep from t = 2 on draws a fresh domain
+geometry (t = 1 revisits the initialization domain), which the inherited
+model must relearn within one timestep's budget; those timesteps train at
+DISTINCT_LR_BOOST times base_lr. No config key reaches the factor; the
+distinct-regime golden trajectory pins it.
 """
 
 from __future__ import annotations
@@ -73,6 +80,8 @@ METHOD_SCONE = "scone"
 METHOD_TEMP_ATC = "temp_scone_atc"
 METHOD_TEMP_AC = "temp_scone_ac"
 METHODS = (METHOD_SCONE, METHOD_TEMP_ATC, METHOD_TEMP_AC)
+
+DISTINCT_LR_BOOST = 5.0
 
 
 @dataclass
@@ -212,6 +221,13 @@ def _fit_delta(params, splits, kind: ScoreKind) -> float:
     return atc_threshold(scores, correct)
 
 
+def _ce_loss_grads(params, xb, yb):
+    """Timestep-0 objective: plain cross-entropy on the ID batch."""
+    logits, acts = forward_cached(params, xb)
+    ce, dz = cross_entropy(logits, yb)
+    return ce, backward_from_logits(params, acts, dz)
+
+
 def train_timestep(
     params: ModelParams,
     momentum: ModelParams,
@@ -223,12 +239,15 @@ def train_timestep(
     temporal_state: TemporalState,
     delta: float,
 ):
-    """One wild timestep of the full objective.
+    """One timestep of training, then its record.
 
-    Returns (params, momentum, mult_state, temporal_state, record). The
-    baseline classification loss is frozen from a full pass before any
-    update; probe scores stored for the next timestep are computed with the
-    final parameters.
+    Returns (params, momentum, mult_state, temporal_state, delta, record),
+    delta being the ATC threshold for the next timestep. Timestep 0 is
+    initialization: cross-entropy only, with no wild batches, temporal term
+    or dual ascent, and delta is fit on its validation split before the
+    probe scores are stored. Later timesteps train the full objective and
+    refit delta after the record when cfg.refit_delta is set. Probe scores
+    stored for the next timestep are computed with the final parameters.
     """
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
@@ -236,36 +255,42 @@ def train_timestep(
     steps_per_epoch = max(1, n // batch)
     total_steps = max(1, cfg.epochs_per_timestep * steps_per_epoch)
 
-    ce_base, _ = cross_entropy(forward(params, x), y)
-    mult_state = replace(mult_state, baseline_ce=ce_base)
-
-    sources = splits.wild.source_features()
+    wild = splits.t > 0
+    sources = splits.wild.source_features() if wild else None
     rng = substream(cfg.seed, PURPOSE_EPOCH, splits.t)
     kind = cfg.score_kind
     last_epoch_parts: list[LossBreakdown] = []
 
     for epoch in range(cfg.epochs_per_timestep):
-        l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
-            params, splits, temporal_state, hp, cfg.mode, kind, delta, splits.t
-        )
-        temporal_state.history.append((splits.t, l_temp, w_temp, d_id, d_cov))
-        temporal_active = l_temp != 0.0
-        if temporal_active:
-            # the per-minibatch share, the same scaled vector at every step
-            g_temp_step = g_temp.unflatten(g_temp.flatten() * (1.0 / steps_per_epoch))
+        l_temp = w_temp = 0.0
+        temporal_active = False
+        if wild:
+            l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
+                params, splits, temporal_state, hp, cfg.mode, kind, delta, splits.t
+            )
+            temporal_state.history.append((splits.t, l_temp, w_temp, d_id, d_cov))
+            temporal_active = l_temp != 0.0
+            if temporal_active:
+                # the per-minibatch share, the same scaled vector at every step
+                g_temp_step = g_temp.unflatten(g_temp.flatten() * (1.0 / steps_per_epoch))
 
         perm = rng.permutation(n)
-        wild_pool = mix_batches(*sources, rng=rng)
-        wild_batch = max(1, wild_pool.shape[0] // steps_per_epoch)
+        if wild:
+            wild_pool = mix_batches(*sources, rng=rng)
+            wild_batch = max(1, wild_pool.shape[0] // steps_per_epoch)
         epoch_parts = []
         for b in range(steps_per_epoch):
             rows = perm[b * batch : (b + 1) * batch]
-            wb = wild_pool[b * wild_batch : (b + 1) * wild_batch]
-            ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(
-                params, x[rows], y[rows], wb, mult_state, hp
-            )
-            if temporal_active:
-                _accumulate(grads, g_temp_step)
+            if wild:
+                wb = wild_pool[b * wild_batch : (b + 1) * wild_batch]
+                ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(
+                    params, x[rows], y[rows], wb, mult_state, hp
+                )
+                if temporal_active:
+                    _accumulate(grads, g_temp_step)
+            else:
+                ce, grads = _ce_loss_grads(params, x[rows], y[rows])
+                l_in_v = l_out_v = alm_v = 0.0
             epoch_parts.append(
                 total_loss(ce, l_out_v, alm_v, l_temp, hp, l_in_value=l_in_v, w_temp=w_temp)
             )
@@ -274,11 +299,12 @@ def train_timestep(
             )
         last_epoch_parts = epoch_parts
 
-        logits_full = forward(params, x)
-        ce_full, _ = cross_entropy(logits_full, y)
-        l_in_full = loss_in(energy(logits_full), params, hp.eta)
-        mult_state = update_multipliers(mult_state, l_in_full, ce_full, hp)
+        if wild:
+            l_in_full = loss_in(energy(forward(params, x)), params, hp.eta)
+            mult_state = update_multipliers(mult_state, l_in_full, hp)
 
+    if not wild:
+        delta = _fit_delta(params, splits, kind)
     s_in, s_cov = _probe_scores(params, splits, cfg.mode, kind, delta, hp.omega)
     temporal_state.prev_in_score = s_in
     temporal_state.prev_cov_score = s_cov
@@ -286,33 +312,9 @@ def train_timestep(
     record = evaluate_timestep(
         params, splits, hp, temporal_state, kind, delta, _mean_breakdown(last_epoch_parts, hp)
     )
-    return params, momentum, mult_state, temporal_state, record
-
-
-def _train_ce_only(params, momentum, splits, cfg: RunConfig, optimizer: OptimizerConfig, hp):
-    """Timestep-0 initialization: plain cross-entropy on the ID train split."""
-    x, y = splits.train_x, splits.train_y
-    n = x.shape[0]
-    batch = min(optimizer.batch_size, n)
-    steps_per_epoch = max(1, n // batch)
-    total_steps = max(1, cfg.epochs_per_timestep * steps_per_epoch)
-    rng = substream(cfg.seed, PURPOSE_EPOCH, splits.t)
-    last_ce = []
-    for epoch in range(cfg.epochs_per_timestep):
-        perm = rng.permutation(n)
-        epoch_ce = []
-        for b in range(steps_per_epoch):
-            rows = perm[b * batch : (b + 1) * batch]
-            logits, acts = forward_cached(params, x[rows])
-            ce, dz = cross_entropy(logits, y[rows])
-            grads = backward_from_logits(params, acts, dz)
-            params, momentum = sgd_step(
-                params, grads, momentum, epoch * steps_per_epoch + b, total_steps, optimizer
-            )
-            epoch_ce.append(ce)
-        last_ce = epoch_ce
-    breakdown = total_loss(float(np.mean(last_ce)) if last_ce else 0.0, 0.0, 0.0, 0.0, hp)
-    return params, momentum, breakdown
+    if wild and cfg.refit_delta:
+        delta = _fit_delta(params, splits, kind)
+    return params, momentum, mult_state, temporal_state, delta, record
 
 
 def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsRecord]:
@@ -337,43 +339,19 @@ def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsR
         delta = hp.delta
         late_optimizer = cfg.optimizer
         if stream_cfg.regime == REGIME_DISTINCT:
-            late_optimizer = replace(cfg.optimizer, base_lr=cfg.optimizer.base_lr * 5.0)
+            late_optimizer = replace(
+                cfg.optimizer, base_lr=cfg.optimizer.base_lr * DISTINCT_LR_BOOST
+            )
 
         records: list[MetricsRecord] = []
         for t in range(stream_cfg.num_timesteps):
-            # The first wild pass revisits the initialization domain at the base
-            # rate; the boosted rate kicks in with the first fresh domain (t >= 2).
             optimizer = late_optimizer if t >= 2 else cfg.optimizer
             splits = make_timestep_splits(
                 stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size
             )
-            if t == 0:
-                params, momentum, breakdown = _train_ce_only(
-                    params, momentum, splits, cfg, cfg.optimizer, hp
-                )
-                delta = _fit_delta(params, splits, cfg.score_kind)
-                s_in, s_cov = _probe_scores(
-                    params, splits, cfg.mode, cfg.score_kind, delta, hp.omega
-                )
-                temporal_state.prev_in_score = s_in
-                temporal_state.prev_cov_score = s_cov
-                record = evaluate_timestep(
-                    params, splits, hp, temporal_state, cfg.score_kind, delta, breakdown
-                )
-            else:
-                params, momentum, mult_state, temporal_state, record = train_timestep(
-                    params,
-                    momentum,
-                    splits,
-                    cfg,
-                    optimizer,
-                    hp,
-                    mult_state,
-                    temporal_state,
-                    delta,
-                )
-                if cfg.refit_delta:
-                    delta = _fit_delta(params, splits, cfg.score_kind)
+            params, momentum, mult_state, temporal_state, delta, record = train_timestep(
+                params, momentum, splits, cfg, optimizer, hp, mult_state, temporal_state, delta
+            )
             records.append(record)
             if param_trace is not None:
                 param_trace.append(params.copy())

@@ -10,12 +10,14 @@ import pytest
 
 from sconelab.cli import main
 from sconelab.config import (
+    KEYS,
     ConfigError,
     default_spec,
     parse_config,
     parse_config_text,
     serialize_spec,
 )
+from sconelab.scores import ScoreKind
 
 MINIMAL = """
 [experiment]
@@ -77,8 +79,9 @@ def test_config_eta_must_be_negative():
 
 
 def test_config_unknown_key_and_section_rejected():
-    with pytest.raises(ConfigError, match=r"unknown key \[hyper\] bogus"):
-        parse_config_text(MINIMAL + "\n[hyper]\nbogus = 1\n")
+    for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol"):
+        with pytest.raises(ConfigError, match=rf"unknown key \[hyper\] {key}"):
+            parse_config_text(MINIMAL + f"\n[hyper]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
         parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n")
 
@@ -95,11 +98,63 @@ def test_config_round_trip_identity():
     assert serialize_spec(again) == serialize_spec(spec)
 
 
-def test_config_lambda_alias():
-    spec = parse_config_text(MINIMAL + "\n[hyper]\nlambda_temp = 0.25\n")
-    assert spec.base_run.hyper.lambda_base == 0.25
-    with pytest.raises(ConfigError, match="alias"):
-        parse_config_text(MINIMAL + "\n[hyper]\nlambda_temp = 0.25\nlambda_base = 0.5\n")
+# (section, key) -> a valid non-default value, as INI text and as parsed
+NON_DEFAULT = {
+    ("experiment", "methods"): ("scone, temp_scone_ac", ("scone", "temp_scone_ac")),
+    ("experiment", "seeds"): ("3, 4", (3, 4)),
+    ("experiment", "emit"): ("csv", "csv"),
+    ("experiment", "out_dir"): ("elsewhere", "elsewhere"),
+    ("stream", "num_timesteps"): ("4", 4),
+    ("stream", "num_classes"): ("3", 3),
+    ("stream", "input_dim"): ("3", 3),
+    ("stream", "regime"): ("distinct", "distinct"),
+    ("stream", "pi_cov"): ("0.1", (0.1,) * 10),
+    ("stream", "pi_sem"): (", ".join(["0.1"] * 9 + ["0.25"]), (0.1,) * 9 + (0.25,)),
+    ("stream", "corruption_sigma"): ("0.25", (0.25,) * 10),
+    ("stream", "drift_angle_per_step"): ("0.2", 0.2),
+    ("stream", "samples_per_split"): ("100", 100),
+    ("stream", "class_cov_scale"): ("0.5", 0.5),
+    ("optimizer", "base_lr"): ("0.02", 0.02),
+    ("optimizer", "momentum"): ("0.8", 0.8),
+    ("optimizer", "weight_decay"): ("0.001", 0.001),
+    ("optimizer", "batch_size"): ("64", 64),
+    ("optimizer", "decay_milestones"): ("0.3, 0.6", (0.3, 0.6)),
+    ("optimizer", "decay_factor"): ("0.25", 0.25),
+    ("optimizer", "head_lr_scale"): ("0.1", 0.1),
+    ("hyper", "eta"): ("-3.0", -3.0),
+    ("hyper", "lambda_out"): ("2.0", 2.0),
+    ("hyper", "lambda_in"): ("0.5", 0.5),
+    ("hyper", "lambda_base"): ("0.5", 0.5),
+    ("hyper", "delta_max"): ("0.3", 0.3),
+    ("hyper", "epsilon"): ("0.01", 0.01),
+    ("hyper", "delta"): ("0.4", 0.4),
+    ("hyper", "omega"): ("0.1", 0.1),
+    ("hyper", "fpr_cutoff"): ("0.1", 0.1),
+    ("hyper", "lr_lambda"): ("0.2", 0.2),
+    ("run", "epochs_per_timestep"): ("2", 2),
+    ("run", "probe_size"): ("64", 64),
+    ("run", "score_kind"): ("neg_entropy", ScoreKind.NEG_ENTROPY),
+    ("run", "refit_delta"): ("true", True),
+    ("run", "val_size"): ("100", 100),
+    ("run", "test_size"): ("200", 200),
+    ("run", "hidden_sizes"): ("8, 8", (8, 8)),
+}
+
+
+def section_of(spec, section):
+    if section == "experiment":
+        return spec
+    return spec.base_run if section == "run" else getattr(spec.base_run, section)
+
+
+@pytest.mark.parametrize("section,key", [(s, k) for s, keys in KEYS.items() for k in keys])
+def test_config_key_lands_in_its_field_and_round_trips(section, key):
+    raw, expected = NON_DEFAULT[(section, key)]
+    name, _ = KEYS[section][key]
+    assert getattr(section_of(default_spec(), section), name) != expected
+    spec = parse_config_text(f"[{section}]\n{key} = {raw}\n")
+    assert getattr(section_of(spec, section), name) == expected
+    assert parse_config_text(serialize_spec(spec)) == spec
 
 
 def test_config_unknown_method():
@@ -150,6 +205,19 @@ def test_cli_outputs_byte_identical_across_invocations(tmp_path):
     echo_a = (out_a / "config_echo.ini").read_text().replace(str(out_a), "OUT")
     echo_b = (out_b / "config_echo.ini").read_text().replace(str(out_b), "OUT")
     assert echo_a == echo_b
+
+
+def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["compare", "--config", cfg, "--out", str(out_a)]) == 0
+    echo = str(out_a / "config_echo.ini")
+    assert main(["compare", "--config", echo, "--out", str(out_b)]) == 0
+    names = ["metrics.csv", "summary.csv"] + [
+        f"run-{m}-seed{s}.jsonl" for m in ("scone", "temp_scone_atc") for s in (0, 1)
+    ]
+    for name in names:
+        assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
 def test_cli_repeated_seed_runs_identical(tmp_path):

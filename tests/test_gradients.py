@@ -52,7 +52,7 @@ HP = Hyperparams(eta=-2.0, delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1
 # that temporal_setup builds, so the temporal weight is clamped at
 # 2*lambda_base and the penalty is 2*lambda_base*d_tot.
 HP_PAST_CAP = replace(HP, delta_max=0.05)
-MULT = MultiplierState(lambda_in_mult=0.7, lambda_ce_mult=0.2, baseline_ce=0.5)
+MULT = MultiplierState(lambda_in_mult=0.7)
 
 
 def _top_two_gap(params, x):

@@ -36,10 +36,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         hp(omega=0.0)
     with pytest.raises(ValueError):
-        hp(ce_tol=0.5)
-    with pytest.raises(ValueError):
         hp(fpr_cutoff=1.0)
-    assert hp().lambda_temp == hp().lambda_base
 
 
 def test_loss_in_at_margin(identity_head):
@@ -98,7 +95,7 @@ def test_empty_energy_batches_rejected(identity_head):
 
 
 def test_alm_in_satisfied_constraint_is_zero():
-    state = MultiplierState(lambda_in_mult=3.0, lambda_ce_mult=1.0)
+    state = MultiplierState(lambda_in_mult=3.0)
     h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
     assert alm_in(0.05, state, h) == pytest.approx(0.0)
 
@@ -201,38 +198,30 @@ def test_total_loss_rejects_nonfinite_parts():
 
 
 def test_update_multipliers_zero_violation():
-    state = MultiplierState(lambda_in_mult=1.0, lambda_ce_mult=0.3, baseline_ce=0.4)
-    h = hp(fpr_cutoff=0.05, lr_lambda=1.0, ce_tol=2.0)
-    out = update_multipliers(state, 0.05, 0.8, h)
+    state = MultiplierState(lambda_in_mult=1.0)
+    h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
+    out = update_multipliers(state, 0.05, h)
     assert out.lambda_in_mult == pytest.approx(1.0)
-    assert out.lambda_ce_mult == pytest.approx(0.3)  # ce == ce_tol * baseline
-    assert out.baseline_ce == state.baseline_ce
 
 
 def test_update_multipliers_arithmetic_and_clipping():
-    h = hp(fpr_cutoff=0.05, lr_lambda=1.0, ce_tol=2.0)
-    out = update_multipliers(MultiplierState(baseline_ce=0.0), 0.10, 0.0, h)
+    h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
+    out = update_multipliers(MultiplierState(), 0.10, h)
     assert out.lambda_in_mult == pytest.approx(0.05)
-    clipped = update_multipliers(MultiplierState(baseline_ce=0.4), 0.05, 0.5, h)
-    assert clipped.lambda_ce_mult == 0.0  # update of -0.3 clips at zero
+    clipped = update_multipliers(MultiplierState(lambda_in_mult=0.02), 0.0, h)
+    assert clipped.lambda_in_mult == 0.0  # update of -0.03 clips at zero
 
 
-@given(
-    st.floats(min_value=0, max_value=1),
-    st.floats(min_value=0, max_value=5),
-    st.floats(min_value=0, max_value=5),
-    st.floats(min_value=0, max_value=5),
-)
+@given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=5))
 @settings(max_examples=100, deadline=None)
-def test_multipliers_stay_nonnegative(l_in_value, ce, lam, lam2):
-    state = MultiplierState(lambda_in_mult=lam, lambda_ce_mult=lam2, baseline_ce=1.0)
-    out = update_multipliers(state, l_in_value, ce, hp(lr_lambda=2.0))
-    assert out.lambda_in_mult >= 0.0 and out.lambda_ce_mult >= 0.0
+def test_multipliers_stay_nonnegative(l_in_value, lam):
+    out = update_multipliers(MultiplierState(lambda_in_mult=lam), l_in_value, hp(lr_lambda=2.0))
+    assert out.lambda_in_mult >= 0.0
 
 
 def test_multiplier_monotone_response():
     h = hp(lr_lambda=0.5)
-    base = MultiplierState(lambda_in_mult=1.0, baseline_ce=0.5)
-    small = update_multipliers(base, 0.10, 0.5, h).lambda_in_mult
-    large = update_multipliers(base, 0.30, 0.5, h).lambda_in_mult
+    base = MultiplierState(lambda_in_mult=1.0)
+    small = update_multipliers(base, 0.10, h).lambda_in_mult
+    large = update_multipliers(base, 0.30, h).lambda_in_mult
     assert large > small

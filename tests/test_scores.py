@@ -13,7 +13,6 @@ from sconelab.scores import (
     diff_ac,
     diff_atc,
     hard_atc,
-    temporal_shift_detected,
     unit_scores,
 )
 
@@ -207,13 +206,6 @@ def test_diff_ac_values():
     assert diff_ac(uniform) == pytest.approx(0.1)
     mixed = np.array([[1.0, 0.0], [0.5, 0.5]])
     assert diff_ac(mixed) == pytest.approx(0.75)
-
-
-def test_temporal_shift_detected():
-    assert not temporal_shift_detected(0.5, 0.5, 0.0)
-    assert temporal_shift_detected(0.9, 0.7, 0.1)
-    # boundary is non-strict: a drift of exactly epsilon is not a shift
-    assert not temporal_shift_detected(0.875, 0.75, 0.125)
 
 
 def test_temporal_state_validation():

@@ -8,9 +8,7 @@ from sconelab.stream import (
     PROV_SEM,
     DomainSnapshot,
     StreamConfig,
-    TableSchema,
     corrupt,
-    ingest_table,
     make_snapshot,
     make_timestep_splits,
     sample_labeled,
@@ -190,50 +188,6 @@ def test_stream_config_schedule_validation():
     assert c.corruption_sigma_schedule[0] == 0.0
     assert c.corruption_sigma_schedule[-1] == 1.0
     assert len(c.pi_cov_schedule) == 5
-
-
-def test_ingest_table_round_trip(tmp_path):
-    path = tmp_path / "data.csv"
-    path.write_text("f0,f1,label\n0.25,-1.5,0\n3.125,2.0,1\n-0.5,0.0,2\n")
-    schema = TableSchema(feature_columns=("f0", "f1"), label_column="label", num_classes=3)
-    data = ingest_table(path, schema)
-    assert np.array_equal(data.features, [[0.25, -1.5], [3.125, 2.0], [-0.5, 0.0]])
-    assert np.array_equal(data.labels, [0, 1, 2])
-
-
-def test_ingest_table_empty_file(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    schema = TableSchema(feature_columns=("f0",), label_column="label")
-    with pytest.raises(ValueError, match="no rows"):
-        ingest_table(path, schema)
-    path.write_text("f0,label\n")
-    with pytest.raises(ValueError, match="no rows"):
-        ingest_table(path, schema)
-
-
-def test_ingest_table_label_out_of_range_names_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("f0,label\n1.0,0\n2.0,3\n")
-    schema = TableSchema(feature_columns=("f0",), label_column="label", num_classes=3)
-    with pytest.raises(ValueError, match="row 2"):
-        ingest_table(path, schema)
-
-
-def test_ingest_table_malformed_row_names_row(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("f0,label\n1.0,0\nnot_a_number,1\n")
-    schema = TableSchema(feature_columns=("f0",), label_column="label")
-    with pytest.raises(ValueError, match="row 2"):
-        ingest_table(path, schema)
-
-
-def test_ingest_table_split_column(tmp_path):
-    path = tmp_path / "split.csv"
-    path.write_text("f0,label,split\n1.0,0,train\n2.0,1,test\n")
-    schema = TableSchema(feature_columns=("f0",), label_column="label", split_column="split")
-    data = ingest_table(path, schema)
-    assert list(data.splits) == ["train", "test"]
 
 
 def test_timestep_splits_deterministic_and_disjoint_ids():

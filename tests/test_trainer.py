@@ -6,7 +6,7 @@ import pytest
 from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
 from sconelab.losses import Hyperparams, MultiplierState
-from sconelab.model import OptimizerConfig, cross_entropy, forward, init_params
+from sconelab.model import OptimizerConfig, init_params
 from sconelab.scores import TemporalState
 from sconelab.stream import StreamConfig, make_timestep_splits, substream
 from sconelab.trainer import (
@@ -82,7 +82,7 @@ def test_train_timestep_zero_epochs_is_identity():
     cfg = small_cfg(epochs_per_timestep=0)
     splits, params = _fresh_setup(cfg)
     state = TemporalState("atc", prev_in_score=0.5, prev_cov_score=0.5)
-    out, _, mult, state, record = train_timestep(
+    out, _, _, state, _, record = train_timestep(
         params.copy(),
         params.zeros_like(),
         splits,
@@ -98,29 +98,11 @@ def test_train_timestep_zero_epochs_is_identity():
     assert record.loss.total == 0.0
 
 
-def test_baseline_ce_frozen_before_updates():
-    cfg = small_cfg(epochs_per_timestep=2)
-    splits, params = _fresh_setup(cfg)
-    incoming_ce, _ = cross_entropy(forward(params, splits.train_x), splits.train_y)
-    _, _, mult, _, _ = train_timestep(
-        params.copy(),
-        params.zeros_like(),
-        splits,
-        cfg,
-        cfg.optimizer,
-        cfg.hyper,
-        MultiplierState(),
-        TemporalState("atc", prev_in_score=0.5, prev_cov_score=0.5),
-        delta=0.5,
-    )
-    assert mult.baseline_ce == pytest.approx(incoming_ce, abs=1e-15)
-
-
 def test_temporal_loss_constant_within_epoch():
     cfg = small_cfg(epochs_per_timestep=4)
     splits, params = _fresh_setup(cfg)
     state = TemporalState("atc", prev_in_score=0.9, prev_cov_score=0.1)
-    _, _, _, state, record = train_timestep(
+    _, _, _, state, _, record = train_timestep(
         params.copy(),
         params.zeros_like(),
         splits,
