@@ -36,7 +36,6 @@ class Hyperparams:
     lambda_base: float = 1.0
     delta_max: float = 0.2
     epsilon: float = 0.02
-    delta: float = 0.5
     omega: float = 0.05
     fpr_cutoff: float = 0.05
     lr_lambda: float = 0.1

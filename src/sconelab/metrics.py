@@ -3,7 +3,8 @@
 Detection uses the raw negated energy (higher means more in-distribution),
 not the learned affine head, so the reported detection metrics stay
 comparable across methods and epochs. The detector threshold is refit on
-each timestep's ID test split.
+each timestep's ID test split. The record's ATC and AC values are scored
+from the test logits by the same formula as the trainer's probe scores.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import Hyperparams, LossBreakdown
-from .model import ModelParams, energy, forward, softmax
-from .scores import ScoreKind, TemporalState, diff_ac, hard_atc, unit_scores
+from .losses import LossBreakdown
+from .model import ModelParams, energy, forward
+from .scores import ScoreKind, diff_ac_grad_logits, hard_atc, unit_scores
 from .stream import TimestepSplits
 
 CSV_COLUMNS = (
@@ -74,11 +75,6 @@ class MetricsRecord:
         return json.dumps(dict(zip(CSV_COLUMNS, self.to_row())), sort_keys=True)
 
 
-def detection_scores(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Negated energy: higher means more ID-like."""
-    return -energy(forward(params, features))
-
-
 def fit_threshold(id_detection_scores: np.ndarray, target_tpr: float = 0.95) -> float:
     """Largest threshold that keeps at least target_tpr of the ID scores
     strictly above it.
@@ -122,16 +118,16 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
 def evaluate_timestep(
     params: ModelParams,
     splits: TimestepSplits,
-    hp: Hyperparams,
-    temporal_state: TemporalState,
     score_kind: ScoreKind,
     delta: float,
+    drift: tuple[float, float],
     breakdown: LossBreakdown,
 ) -> MetricsRecord:
     """Assemble the timestep's record from held-out test splits.
 
-    Asserts that the test samples are disjoint from the timestep's training
-    samples via the id bookkeeping.
+    drift is the (d_id, d_cov) the timestep's last epoch measured. Asserts
+    that the test samples are disjoint from the timestep's training samples
+    via the id bookkeeping.
     """
     overlap = np.intersect1d(splits.training_sample_ids(), splits.test_ids)
     if overlap.size:
@@ -144,25 +140,17 @@ def evaluate_timestep(
     lam = fit_threshold(-energy(logits_id))
     fpr = float((-energy(logits_sem) > lam).mean())
 
-    probs_id = softmax(logits_id)
-    probs_cov = softmax(logits_cov)
-    drift_d_id, drift_d_cov = 0.0, 0.0
-    for entry in reversed(temporal_state.history):
-        if entry[0] == splits.t:
-            drift_d_id, drift_d_cov = float(entry[3]), float(entry[4])
-            break
-
     return MetricsRecord(
         t=splits.t,
         id_acc=accuracy(logits_id, splits.test_id_y),
         ood_acc=accuracy(logits_cov, splits.test_cov_y),
         fpr95=fpr,
         lambda_threshold=lam,
-        atc_in=hard_atc(unit_scores(probs_id, score_kind), delta),
-        atc_cov=hard_atc(unit_scores(probs_cov, score_kind), delta),
-        ac_in=diff_ac(probs_id),
-        ac_cov=diff_ac(probs_cov),
-        drift_d_id=drift_d_id,
-        drift_d_cov=drift_d_cov,
+        atc_in=hard_atc(unit_scores(logits_id, score_kind), delta),
+        atc_cov=hard_atc(unit_scores(logits_cov, score_kind), delta),
+        ac_in=diff_ac_grad_logits(logits_id)[0],
+        ac_cov=diff_ac_grad_logits(logits_cov)[0],
+        drift_d_id=drift[0],
+        drift_d_cov=drift[1],
         loss=breakdown,
     )

@@ -1,6 +1,12 @@
-"""Confidence scoring: max-softmax and negative-entropy scores, threshold
-fitting, hard and sigmoid-smoothed threshold-count estimates, and the
-per-mode temporal state the drift penalty compares against.
+"""Confidence scoring from logits: max-softmax and negative-entropy scores
+and their logits gradients, threshold fitting, hard and sigmoid-smoothed
+threshold-count estimates, and the temporal state the drift penalty
+compares against.
+
+Every score goes through unit_scores_grad_logits, so the probe scores
+stored for the next timestep, the scores the drift penalty compares with
+them, the fitted ATC threshold and the record use one formula and agree bit
+for bit at equal logits.
 
 Negative-entropy scores are affinely rescaled to [0, 1] before any
 smoothing or drift comparison so the smoothing width, drift tolerance and
@@ -11,7 +17,7 @@ threshold semantics are unchanged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -26,53 +32,11 @@ class ScoreKind(enum.Enum):
 
 @dataclass
 class TemporalState:
-    """Per-mode carry-over between timesteps.
+    """Probe scores stored at the end of the previous timestep, which the
+    drift penalty compares against; absent until one timestep completes."""
 
-    prev_in_score / prev_cov_score are the probe scores stored at the end
-    of the previous timestep (absent until one completes). history collects
-    (t, loss, weight, d_id, d_cov) tuples, one per temporal-loss evaluation.
-    """
-
-    mode: str  # "atc" or "ac"
     prev_in_score: float | None = None
     prev_cov_score: float | None = None
-    history: list[tuple] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.mode not in ("atc", "ac"):
-            raise ValueError(f"mode must be 'atc' or 'ac', got {self.mode!r}")
-
-
-def _validate_probs(probs: np.ndarray) -> np.ndarray:
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise ValueError(f"probs must be [n, K>=2], got shape {p.shape}")
-    if p.min() < -1e-12:
-        raise ValueError(f"negative probability entry: {p.min()}")
-    sums = p.sum(axis=1)
-    bad = np.abs(sums - 1.0) > 1e-6
-    if bad.any():
-        raise ValueError(f"row {int(np.argmax(bad))} sums to {sums[bad][0]}, not 1")
-    return p
-
-
-def confidence_scores(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    """Raw per-row score: row max, or sum p log p (0 log 0 := 0)."""
-    p = _validate_probs(probs)
-    if kind is ScoreKind.MAX_CONFIDENCE:
-        return p.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
-    return terms.sum(axis=1)
-
-
-def unit_scores(probs: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    """Scores mapped monotonically into [0, 1]."""
-    raw = confidence_scores(probs, kind)
-    if kind is ScoreKind.MAX_CONFIDENCE:
-        return raw
-    k = np.asarray(probs).shape[1]
-    return (raw + np.log(k)) / np.log(k)
 
 
 def unit_scores_grad_logits(logits: np.ndarray, kind: ScoreKind):
@@ -95,6 +59,11 @@ def unit_scores_grad_logits(logits: np.ndarray, kind: ScoreKind):
     grad = p * (np.where(p > 0.0, logp, 0.0) - r[:, None]) / np.log(k)
     s = (r + np.log(k)) / np.log(k)
     return s, grad
+
+
+def unit_scores(logits: np.ndarray, kind: ScoreKind) -> np.ndarray:
+    """Per-row scores of softmax(logits), mapped monotonically into [0, 1]."""
+    return unit_scores_grad_logits(logits, kind)[0]
 
 
 def atc_threshold(val_scores: np.ndarray, val_correct: np.ndarray) -> float:
@@ -122,16 +91,9 @@ def hard_atc(scores: np.ndarray, delta: float) -> float:
     return float((s < delta).mean())
 
 
-def diff_atc(probs: np.ndarray, kind: ScoreKind, delta: float, omega: float) -> float:
-    """Sigmoid-smoothed sub-threshold fraction: mean sigmoid((delta - s)/omega)."""
-    if omega <= 0.0:
-        raise ValueError(f"smoothing width omega must be > 0, got {omega}")
-    s = unit_scores(probs, kind)
-    return float(expit((delta - s) / omega).mean())
-
-
 def diff_atc_grad_logits(logits: np.ndarray, kind: ScoreKind, delta: float, omega: float):
-    """diff_atc on softmax(logits) plus its gradient w.r.t. the logits."""
+    """Smoothed ATC, mean sigmoid((delta - s)/omega) over the unit scores s,
+    and its gradient w.r.t. the logits."""
     if omega <= 0.0:
         raise ValueError(f"smoothing width omega must be > 0, got {omega}")
     s, ds_dz = unit_scores_grad_logits(logits, kind)
@@ -141,13 +103,7 @@ def diff_atc_grad_logits(logits: np.ndarray, kind: ScoreKind, delta: float, omeg
     return float(sig.mean()), dval_ds[:, None] * ds_dz
 
 
-def diff_ac(probs: np.ndarray) -> float:
-    """Mean max-softmax confidence of the batch."""
-    p = _validate_probs(probs)
-    return float(p.max(axis=1).mean())
-
-
 def diff_ac_grad_logits(logits: np.ndarray):
-    """diff_ac on softmax(logits) plus its gradient w.r.t. the logits."""
+    """AC, the mean max-softmax confidence, and its gradient w.r.t. the logits."""
     s, ds_dz = unit_scores_grad_logits(logits, ScoreKind.MAX_CONFIDENCE)
     return float(s.mean()), ds_dz / s.size

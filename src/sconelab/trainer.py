@@ -6,9 +6,11 @@ and the temporal penalty. Both run through train_timestep's one epoch
 loop. The temporal term is evaluated once per epoch on fixed probe
 subsets; its value stays constant across the epoch's minibatches and its
 parameter gradient is folded into every minibatch step scaled by
-1/(#minibatches). The ID-energy multiplier is updated by dual ascent after
-each epoch from the full-split ID energy loss. Model, multiplier and
-temporal state all carry forward across timesteps.
+1/(#minibatches). The probe scores stored at the end of a timestep, which
+the next timestep's drift is measured against, come from the same helper
+and logits formula as the epoch term. The ID-energy multiplier is updated
+by dual ascent after each epoch from the full-split ID energy loss. Model,
+multiplier and temporal state all carry forward across timesteps.
 
 The plain energy-margin baseline ("scone") runs the identical code path
 with the temporal weight forced to zero, which keeps its trajectory
@@ -54,15 +56,12 @@ from .model import (
     log_softmax_energy,
     sgd_step,
     single_blas_thread,
-    softmax,
 )
 from .scores import (
     ScoreKind,
     TemporalState,
     atc_threshold,
-    diff_ac,
     diff_ac_grad_logits,
-    diff_atc,
     diff_atc_grad_logits,
     unit_scores,
 )
@@ -133,24 +132,22 @@ def _accumulate(target: ModelParams, other: ModelParams):
     target.g_bias += other.g_bias
 
 
-def _probe_scores(params, splits, mode, kind, delta, omega):
-    probs_in = softmax(forward(params, splits.probe_in))
-    probs_cov = softmax(forward(params, splits.probe_cov))
+def _probe_score(params, probe, mode, kind, delta, omega):
+    """The mode's score of one probe batch: (score, dscore/dlogits, activations).
+
+    Both the epoch temporal term and the scores stored for the next
+    timestep come from here, so an unchanged model measures zero drift.
+    """
+    logits, acts = forward_cached(params, probe)
     if mode == "atc":
-        return diff_atc(probs_in, kind, delta, omega), diff_atc(probs_cov, kind, delta, omega)
-    return diff_ac(probs_in), diff_ac(probs_cov)
+        return (*diff_atc_grad_logits(logits, kind, delta, omega), acts)
+    return (*diff_ac_grad_logits(logits), acts)
 
 
 def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
     """Epoch-constant temporal loss, weight, drifts and parameter gradient."""
-    logits_in, acts_in = forward_cached(params, splits.probe_in)
-    logits_cov, acts_cov = forward_cached(params, splits.probe_cov)
-    if mode == "atc":
-        s_in, dz_in = diff_atc_grad_logits(logits_in, kind, delta, hp.omega)
-        s_cov, dz_cov = diff_atc_grad_logits(logits_cov, kind, delta, hp.omega)
-    else:
-        s_in, dz_in = diff_ac_grad_logits(logits_in)
-        s_cov, dz_cov = diff_ac_grad_logits(logits_cov)
+    s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, mode, kind, delta, hp.omega)
+    s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, mode, kind, delta, hp.omega)
     l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
         state, s_in, s_cov, hp, t
     )
@@ -216,7 +213,7 @@ def _mean_breakdown(parts: list[LossBreakdown], hp: Hyperparams) -> LossBreakdow
 
 def _fit_delta(params, splits, kind: ScoreKind) -> float:
     logits = forward(params, splits.val_x)
-    scores = unit_scores(softmax(logits), kind)
+    scores = unit_scores(logits, kind)
     correct = np.argmax(logits, axis=1) == splits.val_y
     return atc_threshold(scores, correct)
 
@@ -237,7 +234,7 @@ def train_timestep(
     hp: Hyperparams,
     mult_state: MultiplierState,
     temporal_state: TemporalState,
-    delta: float,
+    delta: float | None,
 ):
     """One timestep of training, then its record.
 
@@ -245,9 +242,10 @@ def train_timestep(
     delta being the ATC threshold for the next timestep. Timestep 0 is
     initialization: cross-entropy only, with no wild batches, temporal term
     or dual ascent, and delta is fit on its validation split before the
-    probe scores are stored. Later timesteps train the full objective and
-    refit delta after the record when cfg.refit_delta is set. Probe scores
-    stored for the next timestep are computed with the final parameters.
+    probe scores are stored; the delta passed in is not read. Later
+    timesteps train the full objective and refit delta after the record
+    when cfg.refit_delta is set. Probe scores stored for the next timestep
+    are computed with the final parameters.
     """
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
@@ -260,6 +258,7 @@ def train_timestep(
     rng = substream(cfg.seed, PURPOSE_EPOCH, splits.t)
     kind = cfg.score_kind
     last_epoch_parts: list[LossBreakdown] = []
+    d_id = d_cov = 0.0
 
     for epoch in range(cfg.epochs_per_timestep):
         l_temp = w_temp = 0.0
@@ -268,7 +267,6 @@ def train_timestep(
             l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
                 params, splits, temporal_state, hp, cfg.mode, kind, delta, splits.t
             )
-            temporal_state.history.append((splits.t, l_temp, w_temp, d_id, d_cov))
             temporal_active = l_temp != 0.0
             if temporal_active:
                 # the per-minibatch share, the same scaled vector at every step
@@ -305,12 +303,15 @@ def train_timestep(
 
     if not wild:
         delta = _fit_delta(params, splits, kind)
-    s_in, s_cov = _probe_scores(params, splits, cfg.mode, kind, delta, hp.omega)
-    temporal_state.prev_in_score = s_in
-    temporal_state.prev_cov_score = s_cov
+    temporal_state.prev_in_score = _probe_score(
+        params, splits.probe_in, cfg.mode, kind, delta, hp.omega
+    )[0]
+    temporal_state.prev_cov_score = _probe_score(
+        params, splits.probe_cov, cfg.mode, kind, delta, hp.omega
+    )[0]
 
     record = evaluate_timestep(
-        params, splits, hp, temporal_state, kind, delta, _mean_breakdown(last_epoch_parts, hp)
+        params, splits, kind, delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
     )
     if wild and cfg.refit_delta:
         delta = _fit_delta(params, splits, kind)
@@ -334,9 +335,9 @@ def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsR
             substream(cfg.seed, PURPOSE_INIT),
         )
         momentum = params.zeros_like()
-        temporal_state = TemporalState(cfg.mode)
+        temporal_state = TemporalState()
         mult_state = MultiplierState()
-        delta = hp.delta
+        delta = None  # timestep 0 fits it before anything reads it
         late_optimizer = cfg.optimizer
         if stream_cfg.regime == REGIME_DISTINCT:
             late_optimizer = replace(

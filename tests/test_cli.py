@@ -79,7 +79,7 @@ def test_config_eta_must_be_negative():
 
 
 def test_config_unknown_key_and_section_rejected():
-    for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol"):
+    for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol", "delta"):
         with pytest.raises(ConfigError, match=rf"unknown key \[hyper\] {key}"):
             parse_config_text(MINIMAL + f"\n[hyper]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
@@ -127,7 +127,6 @@ NON_DEFAULT = {
     ("hyper", "lambda_base"): ("0.5", 0.5),
     ("hyper", "delta_max"): ("0.3", 0.3),
     ("hyper", "epsilon"): ("0.01", 0.01),
-    ("hyper", "delta"): ("0.4", 0.4),
     ("hyper", "omega"): ("0.1", 0.1),
     ("hyper", "fpr_cutoff"): ("0.1", 0.1),
     ("hyper", "lr_lambda"): ("0.2", 0.2),

@@ -34,11 +34,8 @@ from sconelab.model import (
 from sconelab.scores import (
     ScoreKind,
     TemporalState,
-    diff_ac,
     diff_ac_grad_logits,
-    diff_atc,
     diff_atc_grad_logits,
-    unit_scores,
 )
 from sconelab.trainer import _epoch_temporal_term, _minibatch_loss_grads
 
@@ -111,15 +108,18 @@ def analytic_alm(params, x):
     return alm_in(l_in_v, MULT, HP), grads
 
 
+def probe_score(params, x, mode, kind, delta):
+    """The temporal term's probe score of x, from the logits."""
+    if mode == "atc":
+        return diff_atc_grad_logits(forward(params, x), kind, delta, HP.omega)[0]
+    return diff_ac_grad_logits(forward(params, x))[0]
+
+
 def temporal_setup(params, x_in, x_cov, mode, kind, delta):
     """Previous scores placed so both hinges are active and interior."""
-    if mode == "atc":
-        s_in = diff_atc(softmax(forward(params, x_in)), kind, delta, HP.omega)
-        s_cov = diff_atc(softmax(forward(params, x_cov)), kind, delta, HP.omega)
-    else:
-        s_in = diff_ac(softmax(forward(params, x_in)))
-        s_cov = diff_ac(softmax(forward(params, x_cov)))
-    return TemporalState(mode=mode, prev_in_score=s_in + 0.1, prev_cov_score=s_cov - 0.1)
+    s_in = probe_score(params, x_in, mode, kind, delta)
+    s_cov = probe_score(params, x_cov, mode, kind, delta)
+    return TemporalState(prev_in_score=s_in + 0.1, prev_cov_score=s_cov - 0.1)
 
 
 def analytic_temporal(params, x_in, x_cov, state, mode, kind, delta, t=2, hp=HP):
@@ -148,12 +148,8 @@ def analytic_temporal(params, x_in, x_cov, state, mode, kind, delta, t=2, hp=HP)
 
 def numeric_temporal_fn(x_in, x_cov, state, mode, kind, delta, t=2, hp=HP):
     def fn(p):
-        if mode == "atc":
-            s_in = diff_atc(softmax(forward(p, x_in)), kind, delta, HP.omega)
-            s_cov = diff_atc(softmax(forward(p, x_cov)), kind, delta, HP.omega)
-        else:
-            s_in = diff_ac(softmax(forward(p, x_in)))
-            s_cov = diff_ac(softmax(forward(p, x_cov)))
+        s_in = probe_score(p, x_in, mode, kind, delta)
+        s_cov = probe_score(p, x_cov, mode, kind, delta)
         value, _, _, _, _, _ = temporal_loss_grad(state, s_in, s_cov, hp, t)
         return value
 

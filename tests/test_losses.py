@@ -130,20 +130,20 @@ def test_adaptive_weight_monotone_and_bounded(d_id, d_cov, bump):
 
 
 def test_temporal_loss_initial_timestep_is_zero():
-    state = TemporalState(mode="atc")
+    state = TemporalState()
     assert temporal_loss(state, 0.5, 0.5, hp(), t=0) == (0.0, 0.0, 0.0, 0.0)
     # missing previous scores behaves the same even at t > 0
     assert temporal_loss(state, 0.5, 0.5, hp(), t=3) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_favorable_drift_is_free():
-    state = TemporalState(mode="atc", prev_in_score=0.9, prev_cov_score=0.5)
+    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     l, w, d_id, d_cov = temporal_loss(state, 0.95, 0.45, hp(), t=2)
     assert (l, w, d_id, d_cov) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_hinge_arithmetic():
-    state = TemporalState(mode="atc", prev_in_score=0.9, prev_cov_score=0.5)
+    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
     l, w, d_id, d_cov = temporal_loss(state, 0.8, 0.6, h, t=2)
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
@@ -154,7 +154,7 @@ def test_temporal_loss_hinge_arithmetic():
 def test_temporal_loss_past_cap_arithmetic():
     # d_id = 0.3 and d_cov = 0.1 put d_tot = 0.4 past delta_max = 0.2: the
     # weight holds at 2*lambda_base and the penalty keeps growing with d_tot.
-    state = TemporalState(mode="atc", prev_in_score=0.9, prev_cov_score=0.5)
+    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
     l, w, d_id, d_cov, dl_in, dl_cov = temporal_loss_grad(state, 0.6, 0.6, h, t=2)
     assert d_id == pytest.approx(0.3) and d_cov == pytest.approx(0.1)
@@ -164,7 +164,7 @@ def test_temporal_loss_past_cap_arithmetic():
 
 
 def test_temporal_loss_gated_below_tolerance():
-    state = TemporalState(mode="atc", prev_in_score=0.9, prev_cov_score=0.5)
+    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.25)
     l, w, d_id, d_cov = temporal_loss(state, 0.8, 0.6, h, t=2)
     assert l == 0.0 and w == 0.0

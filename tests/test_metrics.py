@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from sconelab.losses import Hyperparams, total_loss
 from sconelab.metrics import accuracy, evaluate_timestep, fit_threshold, fpr_at_tpr
 from sconelab.model import init_params
-from sconelab.scores import ScoreKind, TemporalState
+from sconelab.scores import ScoreKind
 from sconelab.stream import StreamConfig, make_timestep_splits, sample_labeled, substream
 
 
@@ -164,7 +164,7 @@ def test_evaluate_zero_weight_model_hits_class_prior():
     for i in range(len(params.layer_weights)):
         params.layer_weights[i][:] = 0.0
     record = evaluate_timestep(
-        params, splits, Hyperparams(), TemporalState("atc"), ScoreKind.MAX_CONFIDENCE, 0.5, _zero_loss()
+        params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
     )
     # all-zero logits predict class 0 on a balanced split: accuracy = 1/K
     assert record.id_acc == pytest.approx(1.0 / 4.0)
@@ -176,7 +176,7 @@ def test_evaluate_semantic_equals_id_gives_target_complement_fpr():
     # make the semantic test set a fresh draw from the ID distribution
     splits.test_sem_x, _ = sample_labeled(splits.snapshot, 2000, substream(123, 77))
     record = evaluate_timestep(
-        params, splits, Hyperparams(), TemporalState("atc"), ScoreKind.MAX_CONFIDENCE, 0.5, _zero_loss()
+        params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
     )
     assert record.fpr95 == pytest.approx(0.95, abs=0.03)
 
@@ -187,7 +187,7 @@ def test_evaluate_loss_breakdown_reconstructs():
     bd = total_loss(1.1, 0.3, 0.07, 0.02, hp, l_in_value=0.4, w_temp=1.2)
     params = init_params(5, 4, rng=np.random.default_rng(2))
     record = evaluate_timestep(
-        params, splits, hp, TemporalState("atc"), ScoreKind.MAX_CONFIDENCE, 0.5, bd
+        params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), bd
     )
     loss = record.loss
     rebuilt = loss.ce + hp.lambda_out * loss.l_out + loss.alm_in + loss.l_temp
@@ -200,7 +200,7 @@ def test_evaluate_detects_split_overlap():
     params = init_params(5, 4, rng=np.random.default_rng(3))
     with pytest.raises(AssertionError, match="sample ids"):
         evaluate_timestep(
-            params, splits, Hyperparams(), TemporalState("atc"), ScoreKind.MAX_CONFIDENCE, 0.5, _zero_loss()
+            params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
         )
 
 
@@ -210,7 +210,7 @@ def test_record_serialization_round_trip():
     cfg, splits = _splits()
     params = init_params(5, 4, rng=np.random.default_rng(4))
     record = evaluate_timestep(
-        params, splits, Hyperparams(), TemporalState("atc"), ScoreKind.MAX_CONFIDENCE, 0.5, _zero_loss()
+        params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
     )
     row = record.to_row()
     assert len(row) == 18

@@ -7,22 +7,27 @@ from hypothesis import strategies as st
 
 from sconelab.scores import (
     ScoreKind,
-    TemporalState,
     atc_threshold,
-    confidence_scores,
-    diff_ac,
-    diff_atc,
+    diff_ac_grad_logits,
+    diff_atc_grad_logits,
     hard_atc,
     unit_scores,
 )
 
+# A logit this far below the row max has softmax probability exactly 0.
+LOG_ZERO = -1e3
 
-def two_mass_probs(maxima, k):
-    """Rows with a prescribed max-softmax value (remainder split evenly)."""
+
+def two_mass_logits(maxima, k):
+    """Logits of rows with a prescribed max-softmax value (remainder split evenly)."""
     maxima = np.asarray(maxima, dtype=float)
     p = np.repeat(((1.0 - maxima) / (k - 1))[:, None], k, axis=1)
     p[:, 0] = maxima
-    return p
+    return np.log(p)
+
+
+def smoothed_atc(logits, kind, delta, omega):
+    return diff_atc_grad_logits(logits, kind, delta, omega)[0]
 
 
 def brute_force_threshold(scores, correct):
@@ -41,32 +46,35 @@ def brute_force_threshold(scores, correct):
 
 
 def test_max_confidence_uniform_row():
-    p = np.full((1, 4), 0.25)
-    assert confidence_scores(p, ScoreKind.MAX_CONFIDENCE)[0] == pytest.approx(0.25)
+    logits = np.log(np.full((1, 4), 0.25))
+    assert unit_scores(logits, ScoreKind.MAX_CONFIDENCE)[0] == pytest.approx(0.25)
 
 
 def test_neg_entropy_one_hot_row():
-    p = np.array([[1.0, 0.0, 0.0]])
-    assert confidence_scores(p, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(0.0, abs=1e-15)
+    # sum p log p = 0 on a one-hot row, the top of the unit scale
+    logits = np.array([[0.0, LOG_ZERO, LOG_ZERO]])
+    assert unit_scores(logits, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_neg_entropy_uniform_row():
-    p = np.full((1, 4), 0.25)
-    assert confidence_scores(p, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(-math.log(4.0))
+    # sum p log p = -log K on a uniform row, the bottom of the unit scale
+    logits = np.log(np.full((1, 4), 0.25))
+    assert unit_scores(logits, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_unit_scores_rescale_neg_entropy():
-    p = np.vstack([np.full(4, 0.25), [1.0, 0.0, 0.0, 0.0]])
-    u = unit_scores(p, ScoreKind.NEG_ENTROPY)
-    assert u[0] == pytest.approx(0.0, abs=1e-12)  # uniform row -> floor
-    assert u[1] == pytest.approx(1.0)  # one-hot row -> ceiling
+    # uniform, two-point and one-hot rows: -log 4, -log 2 and 0 map to 0, 1/2, 1
+    logits = np.array(
+        [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, LOG_ZERO, LOG_ZERO], [0.0, LOG_ZERO, LOG_ZERO, LOG_ZERO]]
+    )
+    u = unit_scores(logits, ScoreKind.NEG_ENTROPY)
+    assert u == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
 
-def test_malformed_rows_rejected():
-    with pytest.raises(ValueError, match="sums to"):
-        confidence_scores(np.array([[0.7, 0.7]]), ScoreKind.MAX_CONFIDENCE)
-    with pytest.raises(ValueError, match="negative"):
-        confidence_scores(np.array([[1.2, -0.2]]), ScoreKind.MAX_CONFIDENCE)
+def test_nonfinite_logits_rejected():
+    for kind in ScoreKind:
+        with pytest.raises(ValueError, match="logits must be finite"):
+            unit_scores(np.array([[0.0, np.inf], [0.0, 1.0]]), kind)
 
 
 def test_atc_threshold_all_correct():
@@ -142,18 +150,19 @@ def test_hard_atc_monotone_in_delta(scores, d1, d2):
 
 
 def test_diff_atc_at_threshold_is_half():
-    p = two_mass_probs([0.6], 4)
-    assert diff_atc(p, ScoreKind.MAX_CONFIDENCE, delta=0.6, omega=0.05) == pytest.approx(0.5)
+    logits = two_mass_logits([0.6], 4)
+    value = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta=0.6, omega=0.05)
+    assert value == pytest.approx(0.5)
 
 
 def test_diff_atc_saturates():
-    p = two_mass_probs(np.linspace(0.7, 0.9, 5), 4)
-    assert diff_atc(p, ScoreKind.MAX_CONFIDENCE, delta=0.6, omega=1e-3) <= 1e-40
+    logits = two_mass_logits(np.linspace(0.7, 0.9, 5), 4)
+    assert smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta=0.6, omega=1e-3) <= 1e-40
 
 
 def test_diff_atc_requires_positive_omega():
     with pytest.raises(ValueError):
-        diff_atc(two_mass_probs([0.5], 4), ScoreKind.MAX_CONFIDENCE, 0.5, 0.0)
+        smoothed_atc(two_mass_logits([0.5], 4), ScoreKind.MAX_CONFIDENCE, 0.5, 0.0)
 
 
 def test_diff_atc_close_to_hard_atc_away_from_threshold():
@@ -164,9 +173,9 @@ def test_diff_atc_close_to_hard_atc_away_from_threshold():
         delta = r.uniform(0.3, 0.9)
         maxima = r.uniform(1.0 / k + 0.01, 1.0 - 1e-6, size=1000)
         maxima = maxima[np.abs(maxima - delta) > 0.01]
-        probs = two_mass_probs(maxima, k)
-        soft = diff_atc(probs, ScoreKind.MAX_CONFIDENCE, delta, omega=1e-3)
-        hard = hard_atc(unit_scores(probs, ScoreKind.MAX_CONFIDENCE), delta)
+        logits = two_mass_logits(maxima, k)
+        soft = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta, omega=1e-3)
+        hard = hard_atc(unit_scores(logits, ScoreKind.MAX_CONFIDENCE), delta)
         assert abs(soft - hard) <= 1e-3
 
 
@@ -176,9 +185,9 @@ def test_diff_atc_converges_to_hard_atc(omega):
     maxima = r.uniform(0.3, 0.99, size=500)
     delta = 0.62
     maxima = maxima[np.abs(maxima - delta) > 0.05]
-    probs = two_mass_probs(maxima, 5)
-    soft = diff_atc(probs, ScoreKind.MAX_CONFIDENCE, delta, omega)
-    hard = hard_atc(unit_scores(probs, ScoreKind.MAX_CONFIDENCE), delta)
+    logits = two_mass_logits(maxima, 5)
+    soft = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta, omega)
+    hard = hard_atc(unit_scores(logits, ScoreKind.MAX_CONFIDENCE), delta)
     # gap shrinks like exp(-0.05/omega)
     assert abs(soft - hard) <= math.exp(-0.05 / omega) + 1e-12
 
@@ -191,25 +200,18 @@ def test_diff_atc_converges_to_hard_atc(omega):
 @settings(max_examples=100, deadline=None)
 def test_diff_atc_monotone_and_lipschitz_in_delta(d1, d2, omega):
     r = np.random.default_rng(3)
-    probs = two_mass_probs(r.uniform(0.3, 0.95, size=64), 4)
+    logits = two_mass_logits(r.uniform(0.3, 0.95, size=64), 4)
     lo, hi = min(d1, d2), max(d1, d2)
-    v_lo = diff_atc(probs, ScoreKind.MAX_CONFIDENCE, lo, omega)
-    v_hi = diff_atc(probs, ScoreKind.MAX_CONFIDENCE, hi, omega)
+    v_lo = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, lo, omega)
+    v_hi = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, hi, omega)
     assert v_lo <= v_hi + 1e-12
     assert v_hi - v_lo <= (hi - lo) / (4.0 * omega) + 1e-12
 
 
 def test_diff_ac_values():
-    one_hot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert diff_ac(one_hot) == pytest.approx(1.0)
-    uniform = np.full((3, 10), 0.1)
-    assert diff_ac(uniform) == pytest.approx(0.1)
-    mixed = np.array([[1.0, 0.0], [0.5, 0.5]])
-    assert diff_ac(mixed) == pytest.approx(0.75)
-
-
-def test_temporal_state_validation():
-    with pytest.raises(ValueError):
-        TemporalState(mode="bogus")
-    state = TemporalState(mode="atc")
-    assert state.prev_in_score is None and state.history == []
+    one_hot = np.array([[0.0, LOG_ZERO], [LOG_ZERO, 0.0]])
+    assert diff_ac_grad_logits(one_hot)[0] == pytest.approx(1.0)
+    uniform = np.log(np.full((3, 10), 0.1))
+    assert diff_ac_grad_logits(uniform)[0] == pytest.approx(0.1)
+    mixed = np.array([[0.0, LOG_ZERO], [0.0, 0.0]])
+    assert diff_ac_grad_logits(mixed)[0] == pytest.approx(0.75)

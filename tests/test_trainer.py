@@ -7,7 +7,7 @@ from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
 from sconelab.losses import Hyperparams, MultiplierState
 from sconelab.model import OptimizerConfig, init_params
-from sconelab.scores import TemporalState
+from sconelab.scores import ScoreKind, TemporalState
 from sconelab.stream import StreamConfig, make_timestep_splits, substream
 from sconelab.trainer import (
     RunConfig,
@@ -81,7 +81,7 @@ def _fresh_setup(cfg, t=1):
 def test_train_timestep_zero_epochs_is_identity():
     cfg = small_cfg(epochs_per_timestep=0)
     splits, params = _fresh_setup(cfg)
-    state = TemporalState("atc", prev_in_score=0.5, prev_cov_score=0.5)
+    state = TemporalState(prev_in_score=0.5, prev_cov_score=0.5)
     out, _, _, state, _, record = train_timestep(
         params.copy(),
         params.zeros_like(),
@@ -98,10 +98,19 @@ def test_train_timestep_zero_epochs_is_identity():
     assert record.loss.total == 0.0
 
 
-def test_temporal_loss_constant_within_epoch():
+def test_temporal_loss_constant_within_epoch(monkeypatch):
     cfg = small_cfg(epochs_per_timestep=4)
     splits, params = _fresh_setup(cfg)
-    state = TemporalState("atc", prev_in_score=0.9, prev_cov_score=0.1)
+    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.1)
+    values = []
+    temporal_loss_grad = trainer_mod.temporal_loss_grad
+
+    def spy(*args):
+        out = temporal_loss_grad(*args)
+        values.append(out[0])
+        return out
+
+    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
     _, _, _, state, _, record = train_timestep(
         params.copy(),
         params.zeros_like(),
@@ -113,9 +122,54 @@ def test_temporal_loss_constant_within_epoch():
         state,
         delta=0.5,
     )
-    entries = [e for e in state.history if e[0] == splits.t]
-    assert len(entries) == 4  # one temporal evaluation per epoch
-    assert record.loss.l_temp == pytest.approx(entries[-1][1])
+    assert len(values) == 4  # one temporal evaluation per epoch
+    assert record.loss.l_temp == pytest.approx(values[-1])
+
+
+@pytest.mark.parametrize(
+    "method,kind",
+    [
+        ("temp_scone_atc", ScoreKind.MAX_CONFIDENCE),
+        ("temp_scone_atc", ScoreKind.NEG_ENTROPY),
+        ("temp_scone_ac", ScoreKind.MAX_CONFIDENCE),
+        ("temp_scone_ac", ScoreKind.NEG_ENTROPY),
+    ],
+)
+def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
+    """The scores stored after a timestep are, bit for bit, those the epoch
+    temporal term computes from the same parameters and probes, so an
+    unchanged model measures a drift of exactly 0.0. Checked from every
+    parameter set of a trained run's trace."""
+    cfg = small_cfg(method=method, score_kind=kind, epochs_per_timestep=10)
+    hp = cfg.effective_hyper()
+    trace = []
+    run_stream(cfg, param_trace=trace)
+    splits, _ = _fresh_setup(cfg, t=2)
+    seen = []
+    temporal_loss_grad = trainer_mod.temporal_loss_grad
+
+    def spy(state, s_in, s_cov, hp, t):
+        seen.append((s_in, s_cov))
+        return temporal_loss_grad(state, s_in, s_cov, hp, t)
+
+    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    for trained in trace:
+        params, _, _, state, delta, _ = train_timestep(
+            trained.copy(),
+            trained.zeros_like(),
+            splits,
+            cfg,
+            cfg.optimizer,
+            hp,
+            MultiplierState(),
+            TemporalState(),
+            delta=trainer_mod._fit_delta(trained, splits, kind),
+        )
+        _, _, d_id, d_cov, _ = trainer_mod._epoch_temporal_term(
+            params, splits, state, hp, cfg.mode, kind, delta, splits.t
+        )
+        assert seen[-1] == (state.prev_in_score, state.prev_cov_score)
+        assert d_id == 0.0 and d_cov == 0.0
 
 
 def test_scone_reduction_bitwise_identical():
@@ -153,13 +207,24 @@ def test_run_stream_deterministic():
     assert [r.to_json() for r in recs_a] == [r.to_json() for r in recs_b]
 
 
-def test_distinct_regime_scales_learning_rate_after_init():
-    # structurally: distinct runs complete and differ from dynamic ones
+def test_distinct_regime_scales_learning_rate_after_init(monkeypatch):
     stream = StreamConfig(
-        num_timesteps=2, num_classes=4, input_dim=5, samples_per_split=384, regime="distinct"
+        num_timesteps=3, num_classes=4, input_dim=5, samples_per_split=384, regime="distinct"
     )
-    records = run_stream(small_cfg(stream=stream))
-    assert len(records) == 2
+    cfg = small_cfg(stream=stream)
+    seen = []
+    train = trainer_mod.train_timestep
+
+    def spy(params, momentum, splits, cfg, optimizer, *rest):
+        seen.append(optimizer.base_lr)
+        return train(params, momentum, splits, cfg, optimizer, *rest)
+
+    monkeypatch.setattr(trainer_mod, "train_timestep", spy)
+    records = run_stream(cfg)
+    assert len(records) == 3
+    base = cfg.optimizer.base_lr
+    assert seen == [base, base, base * trainer_mod.DISTINCT_LR_BOOST]
+    assert seen[2] > base  # a boost, not a no-op factor
 
 
 def test_separable_snapshot_trains_to_high_accuracy():
