@@ -47,6 +47,11 @@ class ExperimentSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+        # a repeated entry would rerun that grid cell and count it twice in the means
+        for name, values in (("method", self.methods), ("seed", self.seeds)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"duplicate {name} {repeated[0]!r} in {list(values)}")
         if self.emit not in EMIT_MODES:
             raise ValueError(f"emit must be one of {EMIT_MODES}, got {self.emit!r}")
 

@@ -7,9 +7,11 @@ distributions (a dominant mass with the remainder split uniformly); it is
 false for arbitrary distributions, where entropy does not determine the
 maximum mass.
 
-`run_verification_sweep` evaluates the two-mass lemma check and the entropy
-grid as arrays: `two_point_entropy`, `_two_mass_decompose` and `lemma1_check`
-also take stacks, and `_two_mass_draws` replays the scalar draw loop's PCG64
+`run_verification_sweep` evaluates every randomized check and the entropy
+grid as arrays: `kl`, `tv`, `chi2`, `two_point_entropy`, `_two_mass_decompose`
+and `lemma1_check` also take (n, K) stacks. The random-pair divergence checks
+run one stack per class count K, drawn by `_random_dist_stacks` in the scalar
+loop's order, and `_two_mass_draws` replays the scalar draw loop's PCG64
 stream from raw words. Every row and the generator state the later checks
 draw from are bit for bit those of the one-pair-at-a-time loop.
 """
@@ -40,12 +42,18 @@ def _validate_dist(p: np.ndarray, rows: bool = False) -> np.ndarray:
     if rows:
         if q.ndim != 2 or q.shape[1] < 1:
             raise ValueError(f"distribution stack must have shape (n, K), got {q.shape}")
-        bad = (q.min(axis=1) < -_DIST_TOL) | (np.abs(q.sum(axis=1) - 1.0) > 1e-9)
+        bad = (
+            ~np.isfinite(q).all(axis=1)
+            | (q.min(axis=1) < -_DIST_TOL)
+            | (np.abs(q.sum(axis=1) - 1.0) > 1e-9)
+        )
         for row in q[bad]:
             _validate_dist(row)
         return q
     if q.ndim != 1 or q.size < 1:
         raise ValueError(f"distribution must be a 1-d vector, got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError(f"non-finite probability {q[~np.isfinite(q)][0]}")
     if q.min() < -_DIST_TOL:
         raise ValueError(f"negative probability {q.min()}")
     if abs(q.sum() - 1.0) > 1e-9:
@@ -94,25 +102,57 @@ def _check_support(p: np.ndarray, q: np.ndarray):
         raise ValueError("support violation: p puts mass where q has none")
 
 
-def kl(p: np.ndarray, q: np.ndarray) -> float:
-    """Kullback-Leibler divergence in nats."""
-    pp, qq = _validate_dist(p), _validate_dist(q)
+def _dist_stacks(p: np.ndarray, q: np.ndarray):
+    """(p, q, single): p and q validated as equal-shape (n, K) stacks.
+
+    Two vectors become one-row stacks and single is True; the callers then
+    return the row's value as a float.
+    """
+    single = np.ndim(p) != 2
+    pp, qq = _validate_dist(p, rows=not single), _validate_dist(q, rows=not single)
+    if pp.shape != qq.shape:
+        raise ValueError(f"distribution shapes differ: {pp.shape} vs {qq.shape}")
+    if single:
+        return pp[None], qq[None], True
+    return pp, qq, False
+
+
+def _masked_row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row sums of terms over the entries where mask holds.
+
+    A row with entries masked out sums its kept entries alone, as a 1-d
+    boolean index would; summing zeros in their place can round differently.
+    """
+    sums = terms.sum(axis=1)
+    for i in np.flatnonzero(~mask.all(axis=1)):
+        sums[i] = terms[i][mask[i]].sum()
+    return sums
+
+
+def kl(p: np.ndarray, q: np.ndarray):
+    """Kullback-Leibler divergence in nats; (n, K) stacks give one per row."""
+    pp, qq, single = _dist_stacks(p, q)
     _check_support(pp, qq)
     mask = pp > 0.0
-    return float((pp[mask] * np.log(pp[mask] / qq[mask])).sum())
+    terms = pp * np.log(np.where(mask, pp, 1.0) / np.where(mask, qq, 1.0))
+    sums = _masked_row_sums(terms, mask)
+    return float(sums[0]) if single else sums
 
 
-def tv(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance (half the L1 distance)."""
-    return float(0.5 * np.abs(_validate_dist(p) - _validate_dist(q)).sum())
+def tv(p: np.ndarray, q: np.ndarray):
+    """Total variation distance (half the L1 distance); stacks give one per row."""
+    pp, qq, single = _dist_stacks(p, q)
+    sums = 0.5 * np.abs(pp - qq).sum(axis=1)
+    return float(sums[0]) if single else sums
 
 
-def chi2(p: np.ndarray, q: np.ndarray) -> float:
-    """Pearson chi-square divergence sum (p-q)^2 / q."""
-    pp, qq = _validate_dist(p), _validate_dist(q)
+def chi2(p: np.ndarray, q: np.ndarray):
+    """Pearson chi-square divergence sum (p-q)^2 / q; stacks give one per row."""
+    pp, qq, single = _dist_stacks(p, q)
     _check_support(pp, qq)
     mask = (pp > 0.0) | (qq > 0.0)
-    return float((((pp[mask] - qq[mask]) ** 2) / qq[mask]).sum())
+    sums = _masked_row_sums((pp - qq) ** 2 / np.where(mask, qq, 1.0), mask)
+    return float(sums[0]) if single else sums
 
 
 def _two_mass_decompose(p: np.ndarray, tol: float = 1e-9):
@@ -242,14 +282,29 @@ class PropertyCheck:
 SWEEP_COLUMNS = ("property", "trials", "violations", "max_violation", "passed")
 
 
-def _random_dist_pairs(rng, count: int, max_k: int = 16):
-    """Random distribution pairs with q bounded away from zero mass."""
+def _random_dist_stacks(rng, count: int, max_k: int = 16):
+    """count random distribution pairs, q bounded away from zero mass.
+
+    The draws are those of the scalar loop
+
+        k = rng.integers(2, max_k + 1); p = rng.dirichlet(np.full(k, 2.0))
+        q = rng.dirichlet(np.full(k, 2.0)); q = 0.99 * q + 0.01 / k
+
+    and leave rng where it leaves it. Returns [(p, q)], one pair of (n, K)
+    stacks per class count drawn, rows in draw order. The gamma sampler
+    behind `dirichlet` rejects a varying number of words, so the loop stays.
+    """
+    alphas = {k: np.full(k, 2.0) for k in range(2, max_k + 1)}
+    drawn: dict[int, list[np.ndarray]] = {}
     for _ in range(count):
         k = int(rng.integers(2, max_k + 1))
-        p = rng.dirichlet(np.full(k, 2.0))
-        q = rng.dirichlet(np.full(k, 2.0))
-        q = 0.99 * q + 0.01 / k
-        yield p, q
+        # size=2 draws p then q, each normalised as a size-less call would
+        drawn.setdefault(k, []).append(rng.dirichlet(alphas[k], size=2))
+    stacks = []
+    for k, pairs in drawn.items():
+        both = np.stack(pairs)
+        stacks.append((both[:, 0], 0.99 * both[:, 1] + 0.01 / k))
+    return stacks
 
 
 def _two_mass_draws(rng: np.random.Generator, n: int):
@@ -325,22 +380,20 @@ def run_verification_sweep(seed: int = 0) -> list[PropertyCheck]:
 
     # chi-square as sum p^2/q - 1 agrees with the (p-q)^2/q form.
     trials, violations, worst = 0, 0, 0.0
-    for p, q in _random_dist_pairs(rng, 1000):
-        gap = abs((p * p / q).sum() - 1.0 - chi2(p, q))
-        trials += 1
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            violations += 1
+    for p, q in _random_dist_stacks(rng, 1000):
+        gap = np.abs((p * p / q).sum(axis=1) - 1.0 - chi2(p, q))
+        trials += gap.size
+        violations += int((gap > 1e-12).sum())
+        worst = max(worst, float(gap.max()))
     results.append(PropertyCheck("chi2_moment_identity", trials, violations, worst, violations == 0))
 
     # KL bounded by half of TV plus chi-square (nats).
     trials, violations, worst = 0, 0, 0.0
-    for p, q in _random_dist_pairs(rng, 1000):
+    for p, q in _random_dist_stacks(rng, 1000):
         gap = kl(p, q) - 0.5 * (tv(p, q) + chi2(p, q))
-        trials += 1
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            violations += 1
+        trials += gap.size
+        violations += int((gap > 1e-12).sum())
+        worst = max(worst, float(gap.max()))
     results.append(PropertyCheck("kl_tv_chi2_bound", trials, violations, worst, violations == 0))
 
     # Entropy up implies max confidence down, over random two-mass pairs;

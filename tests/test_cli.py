@@ -161,6 +161,18 @@ def test_config_unknown_method():
         parse_config_text("[experiment]\nmethods = warp_drive\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("methods", "scone, temp_scone_atc, scone", "duplicate method 'scone'"),
+        ("seeds", "1, 1, 2", "duplicate seed 1"),
+    ],
+)
+def test_config_duplicate_methods_and_seeds_rejected(key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(f"[experiment]\n{key} = {value}\n")
+
+
 def test_default_spec_serializes():
     text = serialize_spec(default_spec())
     assert parse_config_text(text) == default_spec()
@@ -254,6 +266,14 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, "[experiment]\nmethods = nope\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "unknown method" in capsys.readouterr().err
+
+
+def test_cli_duplicate_seeds_exit_nonzero(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", "1,1,2"]) == 1
+    assert "error: duplicate seed 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_defers_scipy_integrate():

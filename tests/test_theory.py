@@ -7,6 +7,7 @@ from scipy.special import erf
 from sconelab import theory
 from sconelab.theory import (
     _chi2_gaussian_quadrature,
+    _random_dist_stacks,
     _two_mass_draws,
     analytic_gaussian_tv,
     chi2,
@@ -105,6 +106,115 @@ def test_kl_tv_chi2_bound_random():
     for _ in range(1000):
         p, q = random_pair(rng, int(rng.integers(2, 17)))
         assert kl(p, q) <= 0.5 * (tv(p, q) + chi2(p, q)) + 1e-12
+
+
+def test_nan_entry_rejected():
+    p = np.array([0.5, np.nan, 0.5])
+    q = np.array([0.2, 0.3, 0.5])
+    for check in (entropy, lambda d: kl(d, q), lambda d: kl(q, d), lambda d: tv(d, q)):
+        with pytest.raises(ValueError, match="non-finite probability nan"):
+            check(p)
+    with pytest.raises(ValueError, match="non-finite probability nan"):
+        chi2(q, p)
+
+
+def random_stacks(rng, n, k):
+    pairs = [random_pair(rng, k) for _ in range(n)]
+    return np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])
+
+
+def assert_stack_matches_rows(p, q):
+    for divergence in (kl, tv, chi2):
+        got = divergence(p, q)
+        want = np.array([divergence(a, b) for a, b in zip(p, q)])
+        assert got.dtype == np.float64 and got.shape == (len(p),)
+        assert got.tobytes() == want.tobytes(), divergence.__name__
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_divergence_stacks_match_rows(k):
+    rng = np.random.default_rng(k)
+    assert_stack_matches_rows(*random_stacks(rng, 64, k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 9, 10, 16])
+def test_divergence_stacks_with_zero_mass_match_rows(k):
+    # zeros in p drop kl terms; zeros in both p and q drop chi2 terms
+    rng = np.random.default_rng(100 + k)
+    p, q = random_stacks(rng, 40, k)
+    p[::2, 0] = 0.0
+    p[1::4, -1] = 0.0
+    q[1::4, -1] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
+    assert_stack_matches_rows(p, q)
+    # the sums skip the dropped terms, as the boolean-indexed formulas do
+    for a, b, got_kl, got_chi2 in zip(p, q, kl(p, q), chi2(p, q)):
+        keep, both = a > 0.0, (a > 0.0) | (b > 0.0)
+        assert got_kl == (a[keep] * np.log(a[keep] / b[keep])).sum()
+        assert got_chi2 == (((a[both] - b[both]) ** 2) / b[both]).sum()
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        [0.6, 0.5, -0.1],  # negative
+        [0.5, 0.3, 0.3],  # sums to 1.1
+        [0.5, np.nan, 0.5],  # not finite
+    ],
+)
+@pytest.mark.parametrize("divergence", [kl, tv, chi2])
+def test_divergence_stack_bad_row_same_message(divergence, bad_row):
+    p, q = random_stacks(np.random.default_rng(9), 6, 3)
+    for stack in (p, q):
+        original = stack[3].copy()
+        stack[3] = bad_row
+        with pytest.raises(ValueError) as single:
+            divergence(p[3], q[3])
+        with pytest.raises(ValueError) as stacked:
+            divergence(p, q)
+        assert str(stacked.value) == str(single.value)
+        stack[3] = original
+
+
+@pytest.mark.parametrize("divergence", [kl, chi2])
+def test_divergence_stack_support_violation(divergence):
+    p, q = random_stacks(np.random.default_rng(10), 5, 3)
+    p[2], q[2] = [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="support violation"):
+        divergence(p, q)
+    assert tv(p, q)[2] == 0.5
+
+
+@pytest.mark.parametrize("divergence", [kl, tv, chi2])
+def test_divergence_stack_shape_mismatch(divergence):
+    rng = np.random.default_rng(11)
+    p, q = random_stacks(rng, 4, 3)
+    with pytest.raises(ValueError, match=r"shapes differ: \(4, 3\) vs \(3, 3\)"):
+        divergence(p, q[:3])
+    with pytest.raises(ValueError, match=r"shapes differ: \(4, 3\) vs \(4, 5\)"):
+        divergence(p, random_stacks(rng, 4, 5)[1])
+    with pytest.raises(ValueError, match=r"shapes differ: \(3,\) vs \(2,\)"):
+        divergence(p[0], np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_random_dist_stacks_replay_scalar_loop(seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacks = _random_dist_stacks(rng, 500)
+    by_k = {}
+    for _ in range(500):
+        # the scalar loop the stacks replace
+        k = int(ref.integers(2, 17))
+        p = ref.dirichlet(np.full(k, 2.0))
+        q = ref.dirichlet(np.full(k, 2.0))
+        by_k.setdefault(k, []).append((p, 0.99 * q + 0.01 / k))
+    assert [p.shape[1] for p, _ in stacks] == list(by_k)
+    for p, q in stacks:
+        want = by_k[p.shape[1]]
+        assert p.tobytes() == np.array([a for a, _ in want]).tobytes()
+        assert q.tobytes() == np.array([b for _, b in want]).tobytes()
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_lemma1_equality_case():
@@ -324,6 +434,7 @@ def test_lemma1_stack_matches_rows():
         [0.6, 0.5, -0.1],  # negative
         [0.5, 0.3, 0.3],  # sums to 1.1
         [0.5, 0.3, 0.2],  # not two-mass
+        [0.5, np.nan, 0.5],  # not finite
     ],
 )
 def test_lemma1_stack_bad_row_same_message(bad_row):
