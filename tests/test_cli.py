@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from sconelab.config import (
     parse_config_text,
     serialize_spec,
 )
+from sconelab.metrics import CSV_COLUMNS
 from sconelab.scores import ScoreKind
 
 MINIMAL = """
@@ -229,6 +231,69 @@ def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
     ]
     for name in names:
         assert read_bytes(out_a / name) == read_bytes(out_b / name), name
+
+
+# sha256 of every file `compare` writes for SMALL_RUN (2 methods x 2 seeds)
+# except the config echo, which records the output directory. A changed
+# record value, column, cell format or file name shows up here.
+SMALL_RUN_DIGESTS = {
+    "metrics.csv": "6553ab0e43ecb8fecf34cc7d46c710b998140a1c17e2d8f5092f2d8848945c7c",
+    "summary.csv": "83877b835c279814c560b811503a87cd10521bd5c16523b07181e79b34593158",
+    "run-scone-seed0.jsonl": "d4d69c9f8f1be9b8531ceb46ff56068e51c5067c909e5f7186bab16e3ccb184b",
+    "run-scone-seed1.jsonl": "7684a8289caee9ac40dee90d8165c1d7313aff455e9b7a71188c598ee44b985d",
+    "run-temp_scone_atc-seed0.jsonl": "b1076ddfeda15dd3efb9b54800118e0b050c42bc468bcdabfd0d0f77f889b02e",
+    "run-temp_scone_atc-seed1.jsonl": "5d7d39e7b684adc75591f559d3fdb6cc1eb7b98f219b7697a97e7bfdb5a73285",
+}
+
+
+@pytest.fixture(scope="module")
+def small_compare(tmp_path_factory):
+    """Output directory of one `compare` over SMALL_RUN."""
+    root = tmp_path_factory.mktemp("small_compare")
+    out = root / "out"
+    assert main(["compare", "--config", write_config(root, SMALL_RUN), "--out", str(out)]) == 0
+    return out
+
+
+def test_cli_compare_outputs_pinned(small_compare):
+    assert sorted(p.name for p in small_compare.iterdir()) == sorted(
+        [*SMALL_RUN_DIGESTS, "config_echo.ini"]
+    )
+    digests = {
+        name: hashlib.sha256(read_bytes(small_compare / name)).hexdigest()
+        for name in SMALL_RUN_DIGESTS
+    }
+    assert digests == SMALL_RUN_DIGESTS
+
+
+def test_cli_summary_is_seed_mean_of_metrics(small_compare):
+    with open(small_compare / "metrics.csv") as fh:
+        metrics = list(csv.reader(fh))
+    with open(small_compare / "summary.csv") as fh:
+        summary = list(csv.reader(fh))
+    assert metrics[0] == ["method", "seed", *CSV_COLUMNS]
+    assert summary[0] == ["method", "t", *CSV_COLUMNS[1:]]
+    per_cell = {}
+    for row in metrics[1:]:
+        per_cell.setdefault((row[0], int(row[2])), []).append([float(v) for v in row[3:]])
+    assert all(len(rows) == 2 for rows in per_cell.values())
+    assert [(row[0], int(row[1])) for row in summary[1:]] == list(per_cell)
+    for row in summary[1:]:
+        expected = np.array(per_cell[(row[0], int(row[1]))]).mean(axis=0)
+        assert [float(v) for v in row[2:]] == expected.tolist(), row[:2]
+
+
+@pytest.mark.parametrize(
+    "emit, written, absent", [("csv", ".csv", ".jsonl"), ("json", ".jsonl", ".csv")]
+)
+def test_cli_emit_mode_writes_only_its_format(tmp_path, emit, written, absent):
+    cfg = write_config(tmp_path, SMALL_RUN.replace("emit = both", f"emit = {emit}"))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", "0"]) == 0
+    suffixes = [p.suffix for p in out.iterdir()]
+    assert written in suffixes
+    assert absent not in suffixes
+    assert (out / "config_echo.ini").exists()
 
 
 def test_cli_repeated_seed_runs_identical(tmp_path):
