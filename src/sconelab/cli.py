@@ -9,7 +9,10 @@ Common flags: --config PATH, --out DIR, --seeds LIST, --method NAME.
 `--verify-theory` is also accepted as a top-level flag. All outputs are
 deterministic functions of the config: metrics.csv (one row per
 method/seed/timestep), summary.csv (per-timestep seed means), a config
-echo, and one JSON-lines record stream per run.
+echo, and one JSON-lines record stream per run. `run` and `compare` both
+go through one grid loop, _run_grid. Every CSV cell is printed by the
+config's INI value formatter, so a float cell is its repr and parses back
+to the same bits.
 """
 
 from __future__ import annotations
@@ -18,24 +21,17 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentSpec, default_spec, parse_config, serialize_spec
-from .metrics import CSV_COLUMNS, MetricsRecord
+from .config import ConfigError, ExperimentSpec, _fmt, default_spec, parse_config, serialize_spec
+from .metrics import CSV_COLUMNS
 from .theory import SWEEP_COLUMNS, run_verification_sweep
 from .trainer import METHODS, run_stream
 
 METRICS_HEADER = ("method", "seed") + CSV_COLUMNS
 SUMMARY_HEADER = ("method", "t") + CSV_COLUMNS[1:]
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
 
 
 def _write_atomic(path: str, text: str):
@@ -54,48 +50,30 @@ def _write_atomic(path: str, text: str):
 
 def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(cell) for cell in row) for row in rows)
+    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _execute(spec: ExperimentSpec, methods) -> dict:
-    """Run the (method, seed) grid; returns {(method, seed): [records]}."""
-    results = {}
-    for method in methods:
-        for seed in spec.seeds:
-            results[(method, seed)] = run_stream(spec.run_config(method, seed))
-    return results
-
-
-def _emit_outputs(spec: ExperimentSpec, methods, results: dict):
-    out = spec.out_dir
-    rows = []
-    for method in methods:
-        for seed in spec.seeds:
-            for record in results[(method, seed)]:
-                rows.append([method, seed] + record.to_row())
+def _run_grid(spec: ExperimentSpec, methods):
+    """Run the (method, seed) grid method-major; write its outputs once every
+    run has finished. summary.csv is the mean over seeds of the metrics.csv
+    rows of each (method, t)."""
+    runs = {(m, s): run_stream(spec.run_config(m, s)) for m in methods for s in spec.seeds}
+    rows = [[m, s, *r.to_row()] for (m, s), records in runs.items() for r in records]
+    files = {}
     if spec.emit in ("csv", "both"):
-        _write_atomic(os.path.join(out, "metrics.csv"), _csv_text(METRICS_HEADER, rows))
-        summary_rows = []
-        num_t = spec.base_run.stream.num_timesteps
-        for method in methods:
-            per_t: list[list[MetricsRecord]] = [[] for _ in range(num_t)]
-            for seed in spec.seeds:
-                for record in results[(method, seed)]:
-                    per_t[record.t].append(record)
-            for t, bucket in enumerate(per_t):
-                values = np.array([r.to_row()[1:] for r in bucket], dtype=float)
-                summary_rows.append([method, t] + list(values.mean(axis=0)))
-        _write_atomic(os.path.join(out, "summary.csv"), _csv_text(SUMMARY_HEADER, summary_rows))
+        per_cell: dict = {}
+        for method, _, t, *values in rows:
+            per_cell.setdefault((method, t), []).append(values)
+        summary = [[m, t, *np.mean(values, axis=0)] for (m, t), values in per_cell.items()]
+        files["metrics.csv"] = _csv_text(METRICS_HEADER, rows)
+        files["summary.csv"] = _csv_text(SUMMARY_HEADER, summary)
     if spec.emit in ("json", "both"):
-        for method in methods:
-            for seed in spec.seeds:
-                lines = [r.to_json() for r in results[(method, seed)]]
-                _write_atomic(
-                    os.path.join(out, f"run-{method}-seed{seed}.jsonl"),
-                    "\n".join(lines) + "\n",
-                )
-    _write_atomic(os.path.join(out, "config_echo.ini"), serialize_spec(spec))
+        for (m, s), records in runs.items():
+            files[f"run-{m}-seed{s}.jsonl"] = "\n".join(r.to_json() for r in records) + "\n"
+    files["config_echo.ini"] = serialize_spec(spec)
+    for name, text in files.items():
+        _write_atomic(os.path.join(spec.out_dir, name), text)
 
 
 def _load_spec(args) -> ExperimentSpec:
@@ -110,11 +88,7 @@ def _load_spec(args) -> ExperimentSpec:
             raise ConfigError(f"--seeds: not an integer list: {args.seeds!r}") from None
         if not updates["seeds"]:
             raise ConfigError("--seeds: empty list")
-    if updates:
-        from dataclasses import replace
-
-        spec = replace(spec, **updates)
-    return spec
+    return replace(spec, **updates)
 
 
 def cmd_run(args) -> int:
@@ -122,16 +96,14 @@ def cmd_run(args) -> int:
     method = args.method or spec.methods[0]
     if method not in METHODS:
         raise ConfigError(f"--method: unknown method {method!r}; choose from {METHODS}")
-    results = _execute(spec, (method,))
-    _emit_outputs(spec, (method,), results)
+    _run_grid(spec, (method,))
     print(f"run complete: method={method} seeds={list(spec.seeds)} -> {spec.out_dir}")
     return 0
 
 
 def cmd_compare(args) -> int:
     spec = _load_spec(args)
-    results = _execute(spec, spec.methods)
-    _emit_outputs(spec, spec.methods, results)
+    _run_grid(spec, spec.methods)
     print(
         f"compare complete: methods={list(spec.methods)} seeds={list(spec.seeds)} "
         f"-> {spec.out_dir}"

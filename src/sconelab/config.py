@@ -23,6 +23,8 @@ import types
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .losses import Hyperparams
 from .model import OptimizerConfig
 from .stream import StreamConfig
@@ -177,10 +179,12 @@ def parse_config(path) -> ExperimentSpec:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    """One INI value or CSV cell as text; a float prints its repr, so it
+    parses back to the same bits."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (tuple, list)):
         return ", ".join(_fmt(v) for v in value)
     if isinstance(value, enum.Enum):

@@ -5,12 +5,16 @@ not the learned affine head, so the reported detection metrics stay
 comparable across methods and epochs. The detector threshold is refit on
 each timestep's ID test split. The record's ATC and AC values are scored
 from the test logits by the same formula as the trainer's probe scores.
+
+The record dataclasses are the only schema: CSV_COLUMNS is the
+MetricsRecord fields other than `loss`, then loss_<name> for each
+LossBreakdown field, so a new column is one new field.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,28 +22,6 @@ from .losses import LossBreakdown
 from .model import ModelParams, energy, forward
 from .scores import ScoreKind, diff_ac_grad_logits, hard_atc, unit_scores
 from .stream import TimestepSplits
-
-CSV_COLUMNS = (
-    "t",
-    "id_acc",
-    "ood_acc",
-    "fpr95",
-    "lambda_threshold",
-    "atc_in",
-    "atc_cov",
-    "ac_in",
-    "ac_cov",
-    "drift_d_id",
-    "drift_d_cov",
-    "loss_ce",
-    "loss_l_in",
-    "loss_l_out",
-    "loss_alm_in",
-    "loss_l_temp",
-    "loss_w_temp",
-    "loss_total",
-)
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -63,16 +45,19 @@ class MetricsRecord:
     loss: LossBreakdown
 
     def to_row(self) -> list:
-        """Values in CSV_COLUMNS order; loss_<name> reads self.loss.<name>."""
-        return [
-            getattr(self.loss, c.removeprefix("loss_"))
-            if c.startswith("loss_")
-            else getattr(self, c)
-            for c in CSV_COLUMNS
+        """Values in CSV_COLUMNS order."""
+        return [getattr(self, name) for name in _RECORD_FIELDS] + [
+            getattr(self.loss, name) for name in _LOSS_FIELDS
         ]
 
     def to_json(self) -> str:
         return json.dumps(dict(zip(CSV_COLUMNS, self.to_row())), sort_keys=True)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(MetricsRecord) if f.name != "loss")
+_LOSS_FIELDS = tuple(f.name for f in fields(LossBreakdown))
+# The record's own fields, then loss_<name> for each LossBreakdown field.
+CSV_COLUMNS = _RECORD_FIELDS + tuple(f"loss_{name}" for name in _LOSS_FIELDS)
 
 
 def fit_threshold(id_detection_scores: np.ndarray, target_tpr: float = 0.95) -> float:

@@ -25,7 +25,7 @@ distinct-regime golden trajectory pins it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -198,16 +198,15 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyp
 
 
 def _mean_breakdown(parts: list[LossBreakdown], hp: Hyperparams) -> LossBreakdown:
-    if not parts:
-        return total_loss(0.0, 0.0, 0.0, 0.0, hp)
+    """Each term's mean over the minibatches; the total is total_loss of the
+    means, not the mean of the totals."""
+    m = {
+        f.name: float(np.mean([getattr(p, f.name) for p in parts])) if parts else 0.0
+        for f in fields(LossBreakdown)
+        if f.name != "total"
+    }
     return total_loss(
-        float(np.mean([p.ce for p in parts])),
-        float(np.mean([p.l_out for p in parts])),
-        float(np.mean([p.alm_in for p in parts])),
-        float(np.mean([p.l_temp for p in parts])),
-        hp,
-        l_in_value=float(np.mean([p.l_in for p in parts])),
-        w_temp=float(np.mean([p.w_temp for p in parts])),
+        m["ce"], m["l_out"], m["alm_in"], m["l_temp"], hp, l_in_value=m["l_in"], w_temp=m["w_temp"]
     )
 
 

@@ -13,6 +13,7 @@ from sconelab.cli import main
 from sconelab.config import (
     KEYS,
     ConfigError,
+    _fmt,
     default_spec,
     parse_config,
     parse_config_text,
@@ -294,6 +295,23 @@ def test_cli_emit_mode_writes_only_its_format(tmp_path, emit, written, absent):
     assert written in suffixes
     assert absent not in suffixes
     assert (out / "config_echo.ini").exists()
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (True, "true"),
+        (np.bool_(False), "false"),
+        (0.1, "0.1"),
+        (np.float64(0.1), "0.1"),
+        (np.float32(0.1), repr(float(np.float32(0.1)))),
+        (np.int64(3), "3"),
+        ((0.5, 2), "0.5, 2"),
+        (ScoreKind.NEG_ENTROPY, "neg_entropy"),
+    ],
+)
+def test_one_formatter_for_ini_values_and_csv_cells(value, text):
+    assert _fmt(value) == text
 
 
 def test_cli_repeated_seed_runs_identical(tmp_path):

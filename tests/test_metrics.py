@@ -1,10 +1,19 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sconelab.losses import Hyperparams, total_loss
-from sconelab.metrics import accuracy, evaluate_timestep, fit_threshold, fpr_at_tpr
+from sconelab.losses import Hyperparams, LossBreakdown, total_loss
+from sconelab.metrics import (
+    CSV_COLUMNS,
+    MetricsRecord,
+    accuracy,
+    evaluate_timestep,
+    fit_threshold,
+    fpr_at_tpr,
+)
 from sconelab.model import init_params
 from sconelab.scores import ScoreKind
 from sconelab.stream import StreamConfig, make_timestep_splits, sample_labeled, substream
@@ -217,3 +226,14 @@ def test_record_serialization_round_trip():
     parsed = json.loads(record.to_json())
     assert parsed["t"] == splits.t
     assert parsed["id_acc"] == record.id_acc
+
+
+def test_record_columns_follow_the_dataclass_fields():
+    loss = LossBreakdown(*(100.0 + i for i in range(len(fields(LossBreakdown)))))
+    own = [f.name for f in fields(MetricsRecord) if f.name != "loss"]
+    record = MetricsRecord(*range(len(own)), loss=loss)
+    assert CSV_COLUMNS[0] == "t"  # summary.csv drops it and averages the rest
+    assert dict(zip(CSV_COLUMNS, record.to_row())) == {
+        **{name: getattr(record, name) for name in own},
+        **{f"loss_{f.name}": getattr(loss, f.name) for f in fields(LossBreakdown)},
+    }
