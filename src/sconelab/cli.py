@@ -59,9 +59,9 @@ def _run_grid(spec: ExperimentSpec, methods):
     run has finished. summary.csv is the mean over seeds of the metrics.csv
     rows of each (method, t)."""
     runs = {(m, s): run_stream(spec.run_config(m, s)) for m in methods for s in spec.seeds}
-    rows = [[m, s, *r.to_row()] for (m, s), records in runs.items() for r in records]
     files = {}
     if spec.emit in ("csv", "both"):
+        rows = [[m, s, *r.to_row()] for (m, s), records in runs.items() for r in records]
         per_cell: dict = {}
         for method, _, t, *values in rows:
             per_cell.setdefault((method, t), []).append(values)
@@ -86,8 +86,6 @@ def _load_spec(args) -> ExperimentSpec:
             updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s.strip())
         except ValueError:
             raise ConfigError(f"--seeds: not an integer list: {args.seeds!r}") from None
-        if not updates["seeds"]:
-            raise ConfigError("--seeds: empty list")
     return replace(spec, **updates)
 
 

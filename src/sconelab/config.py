@@ -8,10 +8,12 @@ timesteps) or a comma-separated per-timestep list.
 
 SECTIONS maps each section to the dataclass that holds it, and the keys of
 a section are that dataclass's fields, parsed by their annotated types:
-int, float, str, bool, an Enum (by value), a tuple (comma-separated), or a
-`tuple | None` schedule. Adding a knob is therefore one field with a default
-on the dataclass; give it an entry in _INI_NAMES only if its key should
-differ from the field name.
+int, float, str, bool, an Enum (by value), a tuple (comma-separated; an
+empty value is the empty tuple, which the dataclass accepts or rejects), or
+a `tuple | None` schedule. Adding a knob is therefore one field with a
+default on the dataclass; give it an entry in _INI_NAMES only if its key
+should differ from the field name. _fmt writes each value back, and the
+CLI prints its CSV cells with it too.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
         # a repeated entry would rerun that grid cell and count it twice in the means
         for name, values in (("method", self.methods), ("seed", self.seeds)):
+            if not values:
+                raise ValueError(f"at least one {name} is required")
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"duplicate {name} {repeated[0]!r} in {list(values)}")
@@ -107,8 +111,6 @@ def _parse_value(raw: str, kind):
         return values[0] if len(values) == 1 else values
     if get_origin(kind) is tuple:
         items = [part.strip() for part in raw.split(",") if part.strip()]
-        if not items:
-            raise ValueError("empty list")
         return tuple(_parse_value(item, get_args(kind)[0]) for item in items)
     if kind is bool:
         if raw.lower() in ("true", "yes", "1"):

@@ -109,12 +109,19 @@ class OptimizerConfig:
     head_lr_scale: float = 0.05
 
     def __post_init__(self):
+        # written as `not ok` so that NaN fails each check
+        if not 0.0 < self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.head_lr_scale < 0.0:
-            raise ValueError(f"head_lr_scale must be >= 0, got {self.head_lr_scale}")
+        if not 0.0 <= self.head_lr_scale < np.inf:
+            raise ValueError(f"head_lr_scale must be >= 0 and finite, got {self.head_lr_scale}")
         ms = self.decay_milestones
         if any(not 0.0 < m < 1.0 for m in ms) or any(a >= b for a, b in zip(ms, ms[1:])):
             raise ValueError(f"milestones must be strictly increasing in (0, 1), got {ms}")

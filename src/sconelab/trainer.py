@@ -105,6 +105,8 @@ class RunConfig:
             raise ValueError("epochs_per_timestep must be >= 0")
         if self.probe_size < 1 or self.val_size < 20 or self.test_size < 20:
             raise ValueError("probe/val/test sizes too small")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
 
     @property
     def mode(self) -> str:

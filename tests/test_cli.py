@@ -176,6 +176,52 @@ def test_config_duplicate_methods_and_seeds_rejected(key, value, message):
         parse_config_text(f"[experiment]\n{key} = {value}\n")
 
 
+@pytest.mark.parametrize(
+    "section, key", [("run", "hidden_sizes"), ("optimizer", "decay_milestones")]
+)
+def test_config_empty_tuple_round_trips(section, key):
+    # a linear model and a schedule without decay are valid specs
+    spec = parse_config_text(f"[{section}]\n{key} =\n")
+    assert getattr(section_of(spec, section), KEYS[section][key][0]) == ()
+    text = serialize_spec(spec)
+    assert f"\n{key} = \n" in text
+    assert parse_config_text(text) == spec
+
+
+def test_config_empty_schedule_rejected():
+    with pytest.raises(ConfigError, match=r"\[stream\]: pi_cov"):
+        parse_config_text("[stream]\npi_cov =\n")
+
+
+@pytest.mark.parametrize("key", ["methods", "seeds"])
+def test_config_empty_methods_or_seeds_rejected(key):
+    with pytest.raises(ConfigError, match=rf"\[experiment\]: at least one {key[:-1]}"):
+        parse_config_text(f"[experiment]\n{key} =\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("optimizer", "base_lr", "-0.01"),
+        ("optimizer", "base_lr", "0"),
+        ("optimizer", "base_lr", "nan"),
+        ("optimizer", "base_lr", "inf"),
+        ("optimizer", "momentum", "1.5"),
+        ("optimizer", "momentum", "-0.1"),
+        ("optimizer", "momentum", "nan"),
+        ("optimizer", "weight_decay", "-1"),
+        ("optimizer", "weight_decay", "nan"),
+        ("optimizer", "head_lr_scale", "nan"),
+        ("run", "hidden_sizes", "0"),
+        ("run", "hidden_sizes", "-2"),
+        ("run", "hidden_sizes", "8, 0"),
+    ],
+)
+def test_config_rejects_bad_optimizer_and_architecture(section, key, value):
+    with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be"):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
 def test_default_spec_serializes():
     text = serialize_spec(default_spec())
     assert parse_config_text(text) == default_spec()
@@ -357,6 +403,27 @@ def test_cli_duplicate_seeds_exit_nonzero(tmp_path, capsys):
     assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", "1,1,2"]) == 1
     assert "error: duplicate seed 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_empty_seed_list_exits_nonzero(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", ","]) == 1
+    assert "error: at least one seed is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_linear_model_reruns_from_config_echo(tmp_path):
+    # no hidden layer and no learning-rate decay: both empty tuples
+    text = SMALL_RUN.replace("hidden_sizes = 12, 12", "hidden_sizes =")
+    text = text.replace("batch_size = 128", "batch_size = 128\ndecay_milestones =")
+    cfg = write_config(tmp_path, text)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--config", cfg, "--out", str(out_a), "--seeds", "0"]) == 0
+    echo = str(out_a / "config_echo.ini")
+    assert main(["run", "--config", echo, "--out", str(out_b)]) == 0
+    for name in ("metrics.csv", "summary.csv", "run-scone-seed0.jsonl"):
+        assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
 def test_cli_import_defers_scipy_integrate():
