@@ -25,7 +25,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, ExperimentSpec, _fmt, default_spec, parse_config, serialize_spec
+from .config import (
+    ConfigError,
+    ExperimentSpec,
+    _fmt,
+    _parse_value,
+    default_spec,
+    parse_config,
+    serialize_spec,
+)
 from .metrics import CSV_COLUMNS
 from .theory import SWEEP_COLUMNS, run_verification_sweep
 from .trainer import METHODS, run_stream
@@ -54,11 +62,11 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_grid(spec: ExperimentSpec, methods):
-    """Run the (method, seed) grid method-major; write its outputs once every
-    run has finished. summary.csv is the mean over seeds of the metrics.csv
-    rows of each (method, t)."""
-    runs = {(m, s): run_stream(spec.run_config(m, s)) for m in methods for s in spec.seeds}
+def _run_grid(spec: ExperimentSpec):
+    """Run the spec's (method, seed) grid method-major; write its outputs once
+    every run has finished. summary.csv is the mean over seeds of the
+    metrics.csv rows of each (method, t)."""
+    runs = {(m, s): run_stream(spec.run_config(m, s)) for m in spec.methods for s in spec.seeds}
     files = {}
     if spec.emit in ("csv", "both"):
         rows = [[m, s, *r.to_row()] for (m, s), records in runs.items() for r in records]
@@ -83,9 +91,9 @@ def _load_spec(args) -> ExperimentSpec:
         updates["out_dir"] = args.out
     if args.seeds:
         try:
-            updates["seeds"] = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-        except ValueError:
-            raise ConfigError(f"--seeds: not an integer list: {args.seeds!r}") from None
+            updates["seeds"] = _parse_value(args.seeds, tuple[int, ...])
+        except ValueError as exc:
+            raise ConfigError(f"--seeds: {exc}") from None
     return replace(spec, **updates)
 
 
@@ -94,14 +102,15 @@ def cmd_run(args) -> int:
     method = args.method or spec.methods[0]
     if method not in METHODS:
         raise ConfigError(f"--method: unknown method {method!r}; choose from {METHODS}")
-    _run_grid(spec, (method,))
+    # the echo then names the one method run, so a rerun from it runs that method
+    _run_grid(replace(spec, methods=(method,)))
     print(f"run complete: method={method} seeds={list(spec.seeds)} -> {spec.out_dir}")
     return 0
 
 
 def cmd_compare(args) -> int:
     spec = _load_spec(args)
-    _run_grid(spec, spec.methods)
+    _run_grid(spec)
     print(
         f"compare complete: methods={list(spec.methods)} seeds={list(spec.seeds)} "
         f"-> {spec.out_dir}"

@@ -8,9 +8,10 @@ timesteps) or a comma-separated per-timestep list.
 
 SECTIONS maps each section to the dataclass that holds it, and the keys of
 a section are that dataclass's fields, parsed by their annotated types:
-int, float, str, bool, an Enum (by value), a tuple (comma-separated; an
-empty value is the empty tuple, which the dataclass accepts or rejects), or
-a `tuple | None` schedule. Adding a knob is therefore one field with a
+int, float, str, bool, an Enum (by value), a tuple (comma-separated; a
+value with no items is the empty tuple, which the dataclass accepts or
+rejects, and an empty item beside others is an error), or a
+`tuple | None` schedule. Adding a knob is therefore one field with a
 default on the dataclass; give it an entry in _INI_NAMES only if its key
 should differ from the field name. _fmt writes each value back, and the
 CLI prints its CSV cells with it too.
@@ -110,7 +111,11 @@ def _parse_value(raw: str, kind):
         values = _parse_value(raw, get_args(kind)[0])
         return values[0] if len(values) == 1 else values
     if get_origin(kind) is tuple:
-        items = [part.strip() for part in raw.split(",") if part.strip()]
+        items = [part.strip() for part in raw.split(",")]
+        if not any(items):
+            return ()
+        if not all(items):
+            raise ValueError(f"empty item in list {raw!r}")
         return tuple(_parse_value(item, get_args(kind)[0]) for item in items)
     if kind is bool:
         if raw.lower() in ("true", "yes", "1"):

@@ -4,7 +4,8 @@ Both energy sigmoids pivot at the margin eta: the in-distribution term is
 mean sigmoid(g(E - eta)) and the wild term is mean sigmoid(-g(E - eta)),
 so for the identity head the two are exact complements. The constraint on
 the ID term is enforced with an augmented-Lagrangian pair (linear
-multiplier + quadratic penalty) and dual ascent on the multiplier.
+multiplier + quadratic penalty) and dual ascent on the multiplier. Each
+term is one function that returns its value with its derivatives.
 
 The temporal drift penalty is asymmetric: it fires when the ID probe score
 falls below, or the covariate probe score rises above, the previous
@@ -12,8 +13,8 @@ timestep's stored value, and only once total drift exceeds the tolerance.
 Its adaptive weight ramps from lambda_base to 2*lambda_base as total drift
 approaches delta_max and holds at 2*lambda_base past it, so the penalty
 grows as 2*lambda_base*d_tot there. The weight is part of the
-differentiated expression, so gradients include the product-rule term on
-the ramp.
+differentiated expression: adaptive_weight(d_tot) returns the weight and
+the slope of w*d_tot, which includes the product-rule term on the ramp.
 """
 
 from __future__ import annotations
@@ -75,13 +76,9 @@ class LossBreakdown:
     total: float
 
 
-def loss_in(energies_id: np.ndarray, params, eta: float) -> float:
-    """Mean sigmoid(g(E - eta)) over an ID batch; small when E sits below eta."""
-    return loss_in_grad(energies_id, params, eta)[0]
-
-
 def loss_in_grad(energies_id: np.ndarray, params, eta: float):
-    """Returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
+    """Mean sigmoid(g(E - eta)) over an ID batch, small when E sits below
+    eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
     e = np.asarray(energies_id, dtype=float)
     if e.size == 0:
         raise ValueError("empty ID energy batch")
@@ -91,13 +88,9 @@ def loss_in_grad(energies_id: np.ndarray, params, eta: float):
     return float(s.mean()), sp * params.g_weight, float((sp * (e - eta)).sum()), float(sp.sum())
 
 
-def loss_out(energies_wild: np.ndarray, params, eta: float) -> float:
-    """Mean sigmoid(-g(E - eta)) over a wild batch; small when E sits above eta."""
-    return loss_out_grad(energies_wild, params, eta)[0]
-
-
 def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
-    """Returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
+    """Mean sigmoid(-g(E - eta)) over a wild batch, small when E sits above
+    eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
     e = np.asarray(energies_wild, dtype=float)
     if e.size == 0:
         raise ValueError("empty wild energy batch")
@@ -112,22 +105,22 @@ def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
     )
 
 
-def alm_in(l_in_value: float, state: MultiplierState, hp: Hyperparams) -> float:
-    """Augmented-Lagrangian term lambda*c + (lambda_in/2)*c^2, c = L_in - cutoff."""
+def alm_in(l_in_value: float, state: MultiplierState, hp: Hyperparams) -> tuple[float, float]:
+    """Augmented-Lagrangian term lambda*c + (lambda_in/2)*c^2, c = L_in - cutoff,
+    and its slope d/dL_in = lambda + lambda_in*c; returns (value, slope)."""
     c = l_in_value - hp.fpr_cutoff
-    return state.lambda_in_mult * c + 0.5 * hp.lambda_in_penalty * c * c
+    value = state.lambda_in_mult * c + 0.5 * hp.lambda_in_penalty * c * c
+    return value, state.lambda_in_mult + hp.lambda_in_penalty * c
 
 
-def alm_in_grad(l_in_value: float, state: MultiplierState, hp: Hyperparams) -> float:
-    """d alm_in / d L_in = lambda + lambda_in * c."""
-    return state.lambda_in_mult + hp.lambda_in_penalty * (l_in_value - hp.fpr_cutoff)
+def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
+    """Drift-dependent weight w = lambda_base * (1 + min(d_tot / delta_max, 1))
+    and the slope d(w*d_tot)/d d_tot; returns (w, slope).
 
-
-def _weight_and_slope(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
-    """(w, d(w*d_tot)/d d_tot) on the clamped ramp.
-
-    At d_tot == delta_max the slope is the one-sided value from above,
-    2*lambda_base.
+    The weight grows linearly from lambda_base to 2*lambda_base as total
+    drift approaches delta_max, applying stronger correction for larger
+    drift, and holds at 2*lambda_base beyond it. At d_tot == delta_max the
+    slope is the one-sided value from above, 2*lambda_base.
     """
     ramp = d_tot / hp.delta_max
     if ramp < 1.0:
@@ -135,35 +128,17 @@ def _weight_and_slope(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
     return 2.0 * hp.lambda_base, 2.0 * hp.lambda_base
 
 
-def adaptive_weight(d_id: float, d_cov: float, hp: Hyperparams) -> float:
-    """Drift-dependent weight lambda_base * (1 + min(d_tot / delta_max, 1)).
-
-    The weight grows linearly from lambda_base to 2*lambda_base as total
-    drift d_tot approaches delta_max, applying stronger correction for
-    larger drift, and holds at 2*lambda_base beyond it.
-    """
-    return _weight_and_slope(d_id + d_cov, hp)[0]
-
-
-def temporal_loss(state: TemporalState, s_in_t: float, s_cov_t: float, hp: Hyperparams, t: int):
-    """Temporal drift penalty; returns (l_temp, w_temp, d_id, d_cov).
-
-    Zero at t=0 or before any timestep has stored scores, and whenever
-    total drift stays within the tolerance. Stored previous scores are
-    constants (no gradient flows into the past).
-    """
-    value, w, d_id, d_cov, _, _ = temporal_loss_grad(state, s_in_t, s_cov_t, hp, t)
-    return value, w, d_id, d_cov
-
-
 def temporal_loss_grad(
     state: TemporalState, s_in_t: float, s_cov_t: float, hp: Hyperparams, t: int
 ):
-    """As temporal_loss, plus (d l_temp/d s_in, d l_temp/d s_cov).
+    """Temporal drift penalty and its score slopes; returns
+    (l_temp, w_temp, d_id, d_cov, d l_temp/d s_in, d l_temp/d s_cov).
 
-    With d_tot = d_id + d_cov, dl/dd_tot is 0 within epsilon,
-    lambda_base*(1 + 2*d_tot/delta_max) on the ramp and 2*lambda_base from
-    delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and
+    Zero at t=0 or before any timestep has stored scores, and whenever
+    total drift stays within the tolerance. Stored previous scores are
+    constants (no gradient flows into the past). With d_tot = d_id + d_cov,
+    dl/dd_tot is 0 within epsilon, lambda_base*(1 + 2*d_tot/delta_max) on
+    the ramp and 2*lambda_base from delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and
     d l/d s_cov is +dl/dd_tot while d_cov > 0; both are 0 otherwise.
     """
     if t == 0 or state.prev_in_score is None or state.prev_cov_score is None:
@@ -173,7 +148,7 @@ def temporal_loss_grad(
     d_tot = d_id + d_cov
     if d_tot <= hp.epsilon:
         return 0.0, 0.0, d_id, d_cov, 0.0, 0.0
-    w, dl_dd = _weight_and_slope(d_tot, hp)
+    w, dl_dd = adaptive_weight(d_tot, hp)
     return (
         w * d_tot,
         w,

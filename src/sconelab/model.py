@@ -186,9 +186,6 @@ class ModelParams:
         for i, b in enumerate(self.layer_biases):
             yield f"layer_biases[{i}]", b
 
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.flatten()).all())
-
 
 def init_params(input_dim, num_classes, hidden_sizes=(64, 64), rng=None) -> ModelParams:
     """Symmetric uniform init scaled by 1/sqrt(fan_in); zero biases.

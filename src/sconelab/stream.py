@@ -8,14 +8,14 @@ semantic outlier domain (K held-out blobs on a radius-8 circle). The
 ramps the corruption level; the "distinct" regime redraws the geometry
 independently per timestep.
 
-Wild batches are per-sample i.i.d. mixtures of the three sources. The
-provenance tags and the labels of shifted samples are carried only for
-evaluation; training code receives label-free feature arrays.
+Wild batches are per-sample i.i.d. mixtures of the three sources. Each
+row carries a provenance tag and no label; training code receives the
+label-free feature arrays of each source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ PROV_ID = 0
 PROV_COV = 1
 PROV_SEM = 2
 
-# Purpose tags for deterministic substreams and sample-id bookkeeping.
+# Purpose tags for deterministic substreams.
 PURPOSE_INIT = 1
 PURPOSE_TRAIN = 2
 PURPOSE_WILD = 3
@@ -48,12 +48,6 @@ _SEPARATION_RETRIES = 50
 def substream(seed: int, purpose: int, t: int = 0) -> np.random.Generator:
     """Independent deterministic generator for (seed, purpose, t)."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(purpose), int(t)]))
-
-
-def sample_ids(purpose: int, t: int, n: int) -> np.ndarray:
-    """Globally unique integer ids for split-disjointness bookkeeping."""
-    base = purpose * 10**10 + t * 10**6
-    return base + np.arange(n)
 
 
 @dataclass
@@ -145,20 +139,11 @@ class DomainSnapshot:
 
 @dataclass
 class WildBatch:
-    """Provenance-tagged mixture sample. Tags and labels are for evaluation
-    only; training code must consume source_features()."""
+    """Provenance-tagged, unlabeled mixture sample; training code consumes
+    source_features()."""
 
     features: np.ndarray
     provenance: np.ndarray  # int tags PROV_ID / PROV_COV / PROV_SEM
-    labels: np.ndarray  # -1 where undefined (semantic rows)
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return (
-            int((self.provenance == PROV_ID).sum()),
-            int((self.provenance == PROV_COV).sum()),
-            int((self.provenance == PROV_SEM).sum()),
-        )
 
     def source_features(self):
         """Label-free per-source feature arrays (id, cov, sem)."""
@@ -236,7 +221,6 @@ def sample_wild(
     k_sem = snap.sem_class_means.shape[0]
     tags = rng.choice(3, size=m, p=(1.0 - pi_cov - pi_sem, pi_cov, pi_sem))
     features = np.zeros((m, d))
-    labels = np.full(m, -1, dtype=int)
 
     for tag in (PROV_ID, PROV_COV, PROV_SEM):
         mask = tags == tag
@@ -256,22 +240,19 @@ def sample_wild(
             if tag == PROV_COV:
                 draw = corrupt(draw, snap.corruption_sigma, rng)
             features[mask] = draw
-            labels[mask] = lab
-    return WildBatch(features, tags, labels)
+    return WildBatch(features, tags)
 
 
 @dataclass
 class TimestepSplits:
-    """All per-timestep data a training/evaluation pass needs, with sample
-    ids for split-disjointness checks."""
+    """All per-timestep data a training/evaluation pass needs. Every split
+    draws from its own substream; the covariate test rows are the ID test
+    rows corrupted, so they share test_id_y."""
 
     t: int
-    snapshot: DomainSnapshot
     train_x: np.ndarray
     train_y: np.ndarray
-    train_ids: np.ndarray
     wild: WildBatch
-    wild_ids: np.ndarray
     probe_in: np.ndarray
     probe_cov: np.ndarray
     val_x: np.ndarray
@@ -279,12 +260,7 @@ class TimestepSplits:
     test_id_x: np.ndarray
     test_id_y: np.ndarray
     test_cov_x: np.ndarray
-    test_cov_y: np.ndarray
     test_sem_x: np.ndarray
-    test_ids: np.ndarray
-
-    def training_sample_ids(self) -> np.ndarray:
-        return np.concatenate([self.train_ids, self.wild_ids])
 
 
 def make_timestep_splits(
@@ -315,12 +291,9 @@ def make_timestep_splits(
 
     return TimestepSplits(
         t=t,
-        snapshot=snap,
         train_x=train_x,
         train_y=train_y,
-        train_ids=sample_ids(PURPOSE_TRAIN, t, n),
         wild=wild,
-        wild_ids=sample_ids(PURPOSE_WILD, t, n),
         probe_in=probe_in,
         probe_cov=probe_cov,
         val_x=val_x,
@@ -328,13 +301,5 @@ def make_timestep_splits(
         test_id_x=test_id_x,
         test_id_y=test_id_y,
         test_cov_x=test_cov_x,
-        test_cov_y=test_id_y,
         test_sem_x=test_sem_x,
-        test_ids=np.concatenate(
-            [
-                sample_ids(PURPOSE_TEST_ID, t, test_size),
-                sample_ids(PURPOSE_TEST_COV, t, test_size),
-                sample_ids(PURPOSE_TEST_SEM, t, test_size),
-            ]
-        ),
     )

@@ -8,12 +8,15 @@ false for arbitrary distributions, where entropy does not determine the
 maximum mass.
 
 `run_verification_sweep` evaluates every randomized check and the entropy
-grid as arrays: `kl`, `tv`, `chi2`, `two_point_entropy`, `_two_mass_decompose`
-and `lemma1_check` also take (n, K) stacks. The random-pair divergence checks
-run one stack per class count K, drawn by `_random_dist_stacks` in the scalar
-loop's order, and `_two_mass_draws` replays the scalar draw loop's PCG64
-stream from raw words. Every row and the generator state the later checks
-draw from are bit for bit those of the one-pair-at-a-time loop.
+grid as arrays: `kl`, `tv`, `chi2`, `_two_mass_decompose` and `lemma1_check`
+take (n, K) stacks, `two_point_entropy` a vector of p_star. Each has one code
+path, on stacks: a single distribution or a scalar p_star runs as a one-row
+stack and comes back as a float (a bool from `lemma1_check`). The random-pair
+divergence checks run one stack per class count K, drawn by
+`_random_dist_stacks` in the scalar loop's order, and `_two_mass_draws`
+replays the scalar draw loop's PCG64 stream from raw words. Every row and
+the generator state the later checks draw from are bit for bit those of the
+one-pair-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -71,30 +74,21 @@ def entropy(p: np.ndarray) -> float:
 def two_point_entropy(p_star, k: int):
     """Entropy of (p*, remainder split over the other K-1 classes).
 
-    An array p_star gives the array of entropies, elementwise equal to the
-    scalar results.
+    An array p_star gives the array of entropies; a scalar gives a float.
     """
     if k < 2:
         raise ValueError(f"need K >= 2, got {k}")
-    if isinstance(p_star, np.ndarray):
-        inside = (1.0 / k - 1e-12 <= p_star) & (p_star <= 1.0 + 1e-12)
-        if not inside.all():
-            raise ValueError(f"p_star must lie in [1/K, 1], got {p_star[~inside].flat[0]}")
-        # p_star >= 1/K - 1e-12 > 0, so only the remainder term needs the
-        # 0 log 0 guard; 0.0 - x keeps the scalar path's +0.0 at p_star = 1
-        rest = 1.0 - p_star
-        positive = rest > 0.0
-        h = 0.0 - p_star * np.log(p_star)
-        return h - np.where(positive, rest * np.log(np.where(positive, rest, 1.0) / (k - 1)), 0.0)
-    if not 1.0 / k - 1e-12 <= p_star <= 1.0 + 1e-12:
-        raise ValueError(f"p_star must lie in [1/K, 1], got {p_star}")
-    rest = 1.0 - p_star
-    h = 0.0
-    if p_star > 0.0:
-        h -= p_star * np.log(p_star)
-    if rest > 0.0:
-        h -= rest * np.log(rest / (k - 1))
-    return float(h)
+    p = np.atleast_1d(np.asarray(p_star, dtype=float))
+    inside = (1.0 / k - 1e-12 <= p) & (p <= 1.0 + 1e-12)
+    if not inside.all():
+        raise ValueError(f"p_star must lie in [1/K, 1], got {p[~inside].flat[0]}")
+    # p >= 1/K - 1e-12 > 0, so only the remainder term needs the 0 log 0
+    # guard; 0.0 - x gives +0.0 rather than -0.0 at p = 1
+    rest = 1.0 - p
+    positive = rest > 0.0
+    h = 0.0 - p * np.log(p)
+    h = h - np.where(positive, rest * np.log(np.where(positive, rest, 1.0) / (k - 1)), 0.0)
+    return float(h[0]) if np.ndim(p_star) == 0 else h
 
 
 def _check_support(p: np.ndarray, q: np.ndarray):
@@ -159,38 +153,28 @@ def _two_mass_decompose(p: np.ndarray, tol: float = 1e-9):
     """Return (p_star, K) if p is a two-mass distribution, else raise.
 
     A (n, K) stack gives the vector of the rows' p_star and raises if any
-    row is not two-mass.
+    row is not two-mass; a vector gives p_star as a float.
     """
-    q = np.asarray(p, dtype=float)
-    if q.ndim == 2:
-        q = _validate_dist(q, rows=True)
-        k = q.shape[1]
-        if k < 2:
-            raise ValueError("need K >= 2")
-        index = np.arange(q.shape[0])
-        star = q.argmax(axis=1)
-        p_star = q[index, star]
-        gap = np.abs(q - ((1.0 - p_star) / (k - 1))[:, None])
-        gap[index, star] = 0.0
-        if (gap.max(axis=1) > tol).any():
-            raise ValueError(_NOT_TWO_MASS)
-        return p_star, k
-    q = _validate_dist(q)
-    k = q.size
+    single = np.ndim(p) != 2
+    q = np.atleast_2d(_validate_dist(p, rows=not single))
+    k = q.shape[1]
     if k < 2:
         raise ValueError("need K >= 2")
-    star = int(np.argmax(q))
-    rest = np.delete(q, star)
-    expected = (1.0 - q[star]) / (k - 1)
-    if np.abs(rest - expected).max() > tol:
+    index = np.arange(q.shape[0])
+    star = q.argmax(axis=1)
+    p_star = q[index, star]
+    gap = np.abs(q - ((1.0 - p_star) / (k - 1))[:, None])
+    gap[index, star] = 0.0
+    if (gap.max(axis=1) > tol).any():
         raise ValueError(_NOT_TWO_MASS)
-    return float(q[star]), k
+    return (float(p_star[0]) if single else p_star), k
 
 
 def lemma1_check(p_t: np.ndarray, p_t1: np.ndarray):
     """On two-mass distributions: entropy rising implies max confidence falling.
 
-    Two (n, K) stacks give a bool array, one entry per row pair.
+    Two (n, K) stacks give a bool array, one entry per row pair; two
+    vectors give a bool.
     """
     star_t, k_t = _two_mass_decompose(p_t)
     star_t1, k_t1 = _two_mass_decompose(p_t1)
@@ -198,13 +182,10 @@ def lemma1_check(p_t: np.ndarray, p_t1: np.ndarray):
         raise ValueError(f"class counts differ: {k_t} vs {k_t1}")
     h_t = two_point_entropy(star_t, k_t)
     h_t1 = two_point_entropy(star_t1, k_t1)
-    if isinstance(h_t, np.ndarray) or isinstance(h_t1, np.ndarray):
-        if np.shape(h_t) != np.shape(h_t1):
-            raise ValueError(f"stack shapes differ: {np.shape(p_t)} vs {np.shape(p_t1)}")
-        return ~(h_t <= h_t1) | (star_t >= star_t1 - 1e-12)
-    if h_t <= h_t1:
-        return star_t >= star_t1 - 1e-12
-    return True
+    if np.shape(h_t) != np.shape(h_t1):
+        raise ValueError(f"stack shapes differ: {np.shape(p_t)} vs {np.shape(p_t1)}")
+    holds = ~np.less_equal(h_t, h_t1) | np.greater_equal(star_t, star_t1 - 1e-12)
+    return holds if np.ndim(holds) else bool(holds)
 
 
 def chi2_gaussian_shift(delta: float, sigma: float) -> float:

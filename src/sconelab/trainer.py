@@ -34,8 +34,6 @@ from .losses import (
     LossBreakdown,
     MultiplierState,
     alm_in,
-    alm_in_grad,
-    loss_in,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
@@ -178,8 +176,7 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyp
     logp_id, e_id = log_softmax_energy(logits_id)
     probs_id = np.exp(logp_id)
     l_in_v, dlin_de, dlin_dgw, dlin_dgb = loss_in_grad(e_id, params, hp.eta)
-    alm_v = alm_in(l_in_v, mult, hp)
-    w_alm = alm_in_grad(l_in_v, mult, hp)
+    alm_v, w_alm = alm_in(l_in_v, mult, hp)
     # taken before cross_entropy_from_log_softmax turns probs_id into its gradient
     dz_energy = (w_alm * dlin_de)[:, None] * probs_id
     ce, dz_id = cross_entropy_from_log_softmax(logp_id, probs_id, yb)
@@ -299,7 +296,7 @@ def train_timestep(
         last_epoch_parts = epoch_parts
 
         if wild:
-            l_in_full = loss_in(energy(forward(params, x)), params, hp.eta)
+            l_in_full = loss_in_grad(energy(forward(params, x)), params, hp.eta)[0]
             mult_state = update_multipliers(mult_state, l_in_full, hp)
 
     if not wild:

@@ -177,6 +177,21 @@ def test_config_duplicate_methods_and_seeds_rejected(key, value, message):
 
 
 @pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("experiment", "seeds", "1,,2"),
+        ("experiment", "seeds", "1,2,"),
+        ("run", "hidden_sizes", "12,,12"),
+        ("stream", "pi_cov", "0.3, , 0.2"),
+    ],
+)
+def test_config_empty_list_item_rejected(section, key, value):
+    # a mistyped list must not run a different grid or model
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: empty item"):
+        parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
     "section, key", [("run", "hidden_sizes"), ("optimizer", "decay_milestones")]
 )
 def test_config_empty_tuple_round_trips(section, key):
@@ -411,6 +426,30 @@ def test_cli_empty_seed_list_exits_nonzero(tmp_path, capsys):
     assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", ","]) == 1
     assert "error: at least one seed is required" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_seeds_flag_empty_item_exits_nonzero(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--seeds", "1,,2"]) == 1
+    assert "error: --seeds: empty item" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_run_method_reruns_from_config_echo(tmp_path):
+    # the echo names the method run, not the configured list it was picked from
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    argv = ["run", "--config", cfg, "--out", str(out_a), "--method", "temp_scone_atc"]
+    assert main(argv + ["--seeds", "1"]) == 0
+    echo = out_a / "config_echo.ini"
+    assert "\nmethods = temp_scone_atc\n" in echo.read_text()
+    assert main(["run", "--config", str(echo), "--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.iterdir() if p.name != "config_echo.ini")
+    assert names == ["metrics.csv", "run-temp_scone_atc-seed1.jsonl", "summary.csv"]
+    assert sorted(p.name for p in out_b.iterdir()) == sorted(names + ["config_echo.ini"])
+    for name in names:
+        assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
 def test_cli_linear_model_reruns_from_config_echo(tmp_path):

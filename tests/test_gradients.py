@@ -15,10 +15,7 @@ from sconelab.losses import (
     Hyperparams,
     MultiplierState,
     alm_in,
-    alm_in_grad,
-    loss_in,
     loss_in_grad,
-    loss_out,
     loss_out_grad,
     temporal_loss_grad,
 )
@@ -101,11 +98,11 @@ def analytic_energy_loss(params, x, grad_fn):
 def analytic_alm(params, x):
     logits, acts = forward_cached(params, x)
     l_in_v, de, dgw, dgb = loss_in_grad(energy(logits), params, HP.eta)
-    w = alm_in_grad(l_in_v, MULT, HP)
+    value, w = alm_in(l_in_v, MULT, HP)
     grads = backward_from_logits(params, acts, (w * de)[:, None] * (-softmax(logits)))
     grads.g_weight = w * dgw
     grads.g_bias = w * dgb
-    return alm_in(l_in_v, MULT, HP), grads
+    return value, grads
 
 
 def probe_score(params, x, mode, kind, delta):
@@ -170,20 +167,22 @@ def check_case(seed):
     _, grads = analytic_energy_loss(params, x, loss_in_grad)
     errors["loss_in"] = relative_error(
         flatten_params(grads),
-        fd_param_grad(lambda p: loss_in(energy(forward(p, x)), p, HP.eta), params, STEP),
+        fd_param_grad(lambda p: loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
     )
 
     _, grads = analytic_energy_loss(params, x, loss_out_grad)
     errors["loss_out"] = relative_error(
         flatten_params(grads),
-        fd_param_grad(lambda p: loss_out(energy(forward(p, x)), p, HP.eta), params, STEP),
+        fd_param_grad(lambda p: loss_out_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
     )
 
     _, grads = analytic_alm(params, x)
     errors["alm_in"] = relative_error(
         flatten_params(grads),
         fd_param_grad(
-            lambda p: alm_in(loss_in(energy(forward(p, x)), p, HP.eta), MULT, HP), params, STEP
+            lambda p: alm_in(loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], MULT, HP)[0],
+            params,
+            STEP,
         ),
     )
 
@@ -261,9 +260,9 @@ def test_minibatch_composite_gradient():
 
         def composite(p):
             ce, _ = cross_entropy(forward(p, x), y)
-            l_in_v = loss_in(energy(forward(p, x)), p, HP.eta)
-            l_out_v = loss_out(energy(forward(p, wild)), p, HP.eta)
-            return ce + HP.lambda_out * l_out_v + alm_in(l_in_v, MULT, HP)
+            l_in_v = loss_in_grad(energy(forward(p, x)), p, HP.eta)[0]
+            l_out_v = loss_out_grad(energy(forward(p, wild)), p, HP.eta)[0]
+            return ce + HP.lambda_out * l_out_v + alm_in(l_in_v, MULT, HP)[0]
 
         ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(params, x, y, wild, MULT, HP)
         assert ce + HP.lambda_out * l_out_v + alm_v == pytest.approx(composite(params), abs=1e-12)

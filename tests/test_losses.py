@@ -9,10 +9,8 @@ from sconelab.losses import (
     MultiplierState,
     adaptive_weight,
     alm_in,
-    alm_in_grad,
-    loss_in,
-    loss_out,
-    temporal_loss,
+    loss_in_grad,
+    loss_out_grad,
     temporal_loss_grad,
     total_loss,
     update_multipliers,
@@ -41,12 +39,12 @@ def test_hyperparams_validation():
 
 def test_loss_in_at_margin(identity_head):
     eta = -5.0
-    assert loss_in(np.full(8, eta), identity_head, eta) == pytest.approx(0.5)
+    assert loss_in_grad(np.full(8, eta), identity_head, eta)[0] == pytest.approx(0.5)
 
 
 def test_loss_in_deep_margin_saturation(identity_head):
     eta = -5.0
-    value = loss_in(np.full(8, eta - 20.0), identity_head, eta)
+    value = loss_in_grad(np.full(8, eta - 20.0), identity_head, eta)[0]
     assert value == pytest.approx(expit(-20.0), rel=1e-6)
     assert value < 1e-8
 
@@ -62,20 +60,23 @@ def test_loss_in_matches_scalar_loop_oracle(identity_head):
     for e in energies:
         u = 1.3 * (e - eta) - 0.2
         acc += 1.0 / (1.0 + np.exp(-u))
-    assert loss_in(energies, identity_head, eta) == pytest.approx(acc / 32, abs=1e-12)
+    assert loss_in_grad(energies, identity_head, eta)[0] == pytest.approx(acc / 32, abs=1e-12)
 
 
 def test_loss_out_at_margin_and_saturation(identity_head):
     eta = -5.0
-    assert loss_out(np.full(4, eta), identity_head, eta) == pytest.approx(0.5)
-    assert loss_out(np.full(4, eta + 20.0), identity_head, eta) < 1e-8
+    assert loss_out_grad(np.full(4, eta), identity_head, eta)[0] == pytest.approx(0.5)
+    assert loss_out_grad(np.full(4, eta + 20.0), identity_head, eta)[0] < 1e-8
 
 
 def test_loss_in_plus_loss_out_is_one(identity_head):
     r = np.random.default_rng(2)
     energies = r.normal(size=16)
     eta = -2.0
-    total = loss_in(energies, identity_head, eta) + loss_out(energies, identity_head, eta)
+    total = (
+        loss_in_grad(energies, identity_head, eta)[0]
+        + loss_out_grad(energies, identity_head, eta)[0]
+    )
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -84,35 +85,36 @@ def test_loss_in_plus_loss_out_is_one(identity_head):
 def test_sigmoid_symmetry_property(energies):
     head = init_params(2, 2, rng=np.random.default_rng(3))
     e = np.array(energies)
-    assert loss_in(e, head, -1.0) + loss_out(e, head, -1.0) == pytest.approx(1.0, abs=1e-9)
+    total = loss_in_grad(e, head, -1.0)[0] + loss_out_grad(e, head, -1.0)[0]
+    assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_empty_energy_batches_rejected(identity_head):
     with pytest.raises(ValueError):
-        loss_in(np.array([]), identity_head, -5.0)
+        loss_in_grad(np.array([]), identity_head, -5.0)
     with pytest.raises(ValueError):
-        loss_out(np.array([]), identity_head, -5.0)
+        loss_out_grad(np.array([]), identity_head, -5.0)
 
 
 def test_alm_in_satisfied_constraint_is_zero():
     state = MultiplierState(lambda_in_mult=3.0)
     h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
-    assert alm_in(0.05, state, h) == pytest.approx(0.0)
+    assert alm_in(0.05, state, h)[0] == pytest.approx(0.0)
 
 
 def test_alm_in_direct_arithmetic():
     state = MultiplierState(lambda_in_mult=2.0)
     h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
     # c = 0.1: 2*0.1 + 2*0.01 = 0.22
-    assert alm_in(0.15, state, h) == pytest.approx(0.22)
-    assert alm_in_grad(0.15, state, h) == pytest.approx(2.4)
+    assert alm_in(0.15, state, h) == pytest.approx((0.22, 2.4))
 
 
 def test_adaptive_weight_floor_cap_midpoint():
     h = hp(lambda_base=1.0, delta_max=0.2)
-    assert adaptive_weight(0.0, 0.0, h) == pytest.approx(1.0)
-    assert adaptive_weight(0.3, 0.1, h) == pytest.approx(2.0)
-    assert adaptive_weight(0.05, 0.05, h) == pytest.approx(1.5)
+    # (w, d(w*d_tot)/d d_tot): the slope carries the product-rule term on the ramp
+    assert adaptive_weight(0.0, h) == pytest.approx((1.0, 1.0))
+    assert adaptive_weight(0.4, h) == pytest.approx((2.0, 2.0))
+    assert adaptive_weight(0.1, h) == pytest.approx((1.5, 2.0))
 
 
 @given(
@@ -123,31 +125,31 @@ def test_adaptive_weight_floor_cap_midpoint():
 @settings(max_examples=100, deadline=None)
 def test_adaptive_weight_monotone_and_bounded(d_id, d_cov, bump):
     h = hp(lambda_base=2.0, delta_max=0.3)
-    w = adaptive_weight(d_id, d_cov, h)
+    w = adaptive_weight(d_id + d_cov, h)[0]
     assert h.lambda_base <= w <= 2.0 * h.lambda_base
-    assert adaptive_weight(d_id + bump, d_cov, h) >= w
-    assert adaptive_weight(d_id, d_cov + bump, h) >= w
+    assert adaptive_weight((d_id + bump) + d_cov, h)[0] >= w
+    assert adaptive_weight(d_id + (d_cov + bump), h)[0] >= w
 
 
 def test_temporal_loss_initial_timestep_is_zero():
     state = TemporalState()
-    assert temporal_loss(state, 0.5, 0.5, hp(), t=0) == (0.0, 0.0, 0.0, 0.0)
+    assert temporal_loss_grad(state, 0.5, 0.5, hp(), t=0)[:4] == (0.0, 0.0, 0.0, 0.0)
     # missing previous scores behaves the same even at t > 0
-    assert temporal_loss(state, 0.5, 0.5, hp(), t=3) == (0.0, 0.0, 0.0, 0.0)
+    assert temporal_loss_grad(state, 0.5, 0.5, hp(), t=3)[:4] == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_favorable_drift_is_free():
     state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
-    l, w, d_id, d_cov = temporal_loss(state, 0.95, 0.45, hp(), t=2)
+    l, w, d_id, d_cov = temporal_loss_grad(state, 0.95, 0.45, hp(), t=2)[:4]
     assert (l, w, d_id, d_cov) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_hinge_arithmetic():
     state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
-    l, w, d_id, d_cov = temporal_loss(state, 0.8, 0.6, h, t=2)
+    l, w, d_id, d_cov = temporal_loss_grad(state, 0.8, 0.6, h, t=2)[:4]
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
-    assert w == pytest.approx(adaptive_weight(0.1, 0.1, h))
+    assert w == pytest.approx(adaptive_weight(0.1 + 0.1, h)[0])
     assert l == pytest.approx(w * 0.2)
 
 
@@ -166,7 +168,7 @@ def test_temporal_loss_past_cap_arithmetic():
 def test_temporal_loss_gated_below_tolerance():
     state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.25)
-    l, w, d_id, d_cov = temporal_loss(state, 0.8, 0.6, h, t=2)
+    l, w, d_id, d_cov = temporal_loss_grad(state, 0.8, 0.6, h, t=2)[:4]
     assert l == 0.0 and w == 0.0
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
 

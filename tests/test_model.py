@@ -182,7 +182,7 @@ def test_init_dimensions_chain():
     shapes = [w.shape for w in params.layer_weights]
     assert shapes == [(7, 10), (10, 5), (5, 4)]
     assert params.input_dim == 7 and params.num_classes == 4
-    assert params.all_finite()
+    assert np.isfinite(params.flatten()).all()
     assert params.g_weight == 1.0 and params.g_bias == 0.0
 
 

@@ -8,6 +8,7 @@ from sconelab import theory
 from sconelab.theory import (
     _chi2_gaussian_quadrature,
     _random_dist_stacks,
+    _two_mass_decompose,
     _two_mass_draws,
     analytic_gaussian_tv,
     chi2,
@@ -397,12 +398,35 @@ def test_two_mass_draws_rejected_integer():
     assert_same_draws(generator(), generator(), 7)
 
 
+def scalar_two_point_entropy(p_star, k):
+    # the one-value-at-a-time formula the array path must reproduce
+    rest = 1.0 - p_star
+    h = 0.0
+    if p_star > 0.0:
+        h -= p_star * np.log(p_star)
+    if rest > 0.0:
+        h -= rest * np.log(rest / (k - 1))
+    return float(h)
+
+
 def test_two_point_entropy_array_matches_scalar():
     for k in range(2, 17):
         grid = np.concatenate([np.linspace(1.0 / k, 1.0, 997), [1.0 + 1e-13]])
         got = two_point_entropy(grid, k)
-        want = np.array([two_point_entropy(p, k) for p in grid])
+        want = np.array([scalar_two_point_entropy(p, k) for p in grid])
         assert got.tobytes() == want.tobytes()
+        singles = np.array([two_point_entropy(float(p), k) for p in grid])
+        assert singles.tobytes() == want.tobytes()
+
+
+def test_scalar_inputs_give_python_scalars():
+    # a scalar p_star or a single distribution runs as a one-row stack
+    assert type(two_point_entropy(0.6, 5)) is float
+    p_star, k = _two_mass_decompose(two_mass(0.6, 5))
+    assert (type(p_star), type(k)) == (float, int)
+    assert (p_star, k) == (0.6, 5)
+    assert lemma1_check(two_mass(0.9, 5), two_mass(0.6, 5)) is True
+    assert lemma1_check(two_mass(0.6, 5), two_mass(0.9, 5)) is True
 
 
 def test_two_point_entropy_array_out_of_range():
