@@ -11,12 +11,10 @@ maximum mass.
 grid as arrays: `kl`, `tv`, `chi2`, `_two_mass_decompose` and `lemma1_check`
 take (n, K) stacks, `two_point_entropy` a vector of p_star. Each has one code
 path, on stacks: a single distribution or a scalar p_star runs as a one-row
-stack and comes back as a float (a bool from `lemma1_check`). The random-pair
-divergence checks run one stack per class count K, drawn by
-`_random_dist_stacks` in the scalar loop's order, and `_two_mass_draws`
-replays the scalar draw loop's PCG64 stream from raw words. Every row and
-the generator state the later checks draw from are bit for bit those of the
-one-pair-at-a-time loop.
+stack and comes back as a float (a bool from `lemma1_check`). The random
+trials are drawn as arrays too: `_random_dist_stacks` draws the random-pair
+divergence checks as one stack per class count K, and `_two_mass_draws` one
+block of two-mass pairs per chunk. The sweep is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -266,73 +264,28 @@ SWEEP_COLUMNS = ("property", "trials", "violations", "max_violation", "passed")
 def _random_dist_stacks(rng, count: int, max_k: int = 16):
     """count random distribution pairs, q bounded away from zero mass.
 
-    The draws are those of the scalar loop
-
-        k = rng.integers(2, max_k + 1); p = rng.dirichlet(np.full(k, 2.0))
-        q = rng.dirichlet(np.full(k, 2.0)); q = 0.99 * q + 0.01 / k
-
-    and leave rng where it leaves it. Returns [(p, q)], one pair of (n, K)
-    stacks per class count drawn, rows in draw order. The gamma sampler
-    behind `dirichlet` rejects a varying number of words, so the loop stays.
+    Draws every pair's class count K in [2, max_k] at once, then, for each
+    K drawn in ascending order, that many (p, q) pairs with one Dirichlet(2)
+    call and mixes q as 0.99 q + 0.01 / K. Returns [(p, q)], one pair of
+    (n_K, K) stacks per class count drawn.
     """
-    alphas = {k: np.full(k, 2.0) for k in range(2, max_k + 1)}
-    drawn: dict[int, list[np.ndarray]] = {}
-    for _ in range(count):
-        k = int(rng.integers(2, max_k + 1))
-        # size=2 draws p then q, each normalised as a size-less call would
-        drawn.setdefault(k, []).append(rng.dirichlet(alphas[k], size=2))
+    ks, counts = np.unique(rng.integers(2, max_k + 1, size=count), return_counts=True)
     stacks = []
-    for k, pairs in drawn.items():
-        both = np.stack(pairs)
+    for k, n_k in zip(ks.tolist(), counts.tolist()):
+        both = rng.dirichlet(np.full(k, 2.0), size=(n_k, 2))
         stacks.append((both[:, 0], 0.99 * both[:, 1] + 0.01 / k))
     return stacks
 
 
 def _two_mass_draws(rng: np.random.Generator, n: int):
-    """(ks, star_a, star_b) of n iterations of the scalar loop
+    """(ks, star_a, star_b) of n random two-mass pairs, drawn as arrays.
 
-        k = rng.integers(2, 17); a = rng.uniform(1/k, 1); b = rng.uniform(1/k, 1)
-
-    leaving rng in the state that loop leaves. For PCG64 the draws are
-    rebuilt from raw 64-bit words: `integers` takes the low half of a fresh
-    word, or the high half buffered by the previous one, as x and returns
-    2 + (15x >> 32) (Lemire), rejecting only x == 0; `uniform` takes one word
-    w to low + (1 - low) * (w >> 11) * 2**-53. Other bit generators, and the
-    rare chunk with an x == 0, run the loop itself.
+    ks is int64 in [2, 16]; each pair's p_star values are uniform on
+    [1/K, 1).
     """
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    if type(bit_gen) is np.random.PCG64:
-        # iteration i finds the 32-bit buffer full when (buffered + i) is odd
-        full = (state["has_uint32"] + np.arange(n)) % 2 == 1
-        fresh = ~full
-        width = np.where(full, 2, 3)
-        start = np.cumsum(width) - width
-        words = bit_gen.random_raw(int(width.sum()))
-        # a full buffer holds the high half of the previous iteration's word,
-        # or at i = 0 the state's uinteger
-        source = words[np.maximum(start - 3 * full, 0)]
-        x = np.where(full, source >> np.uint64(32), source & np.uint64(0xFFFFFFFF))
-        if full[0]:
-            x[0] = state["uinteger"]
-        if x.all():
-            after = bit_gen.state
-            after["has_uint32"] = int(fresh[-1])
-            if fresh.any():
-                after["uinteger"] = int(words[start[fresh][-1]] >> np.uint64(32))
-            bit_gen.state = after
-            ks = (2 + ((x * np.uint64(15)) >> np.uint64(32))).astype(np.int64)
-            low = 1.0 / ks
-            unit = (words >> np.uint64(11)) * 2.0**-53
-            a, b = unit[start + fresh], unit[start + fresh + 1]
-            return ks, low + (1.0 - low) * a, low + (1.0 - low) * b
-        bit_gen.state = state  # undo the raw draws; the loop redraws them
-    draws = []
-    for _ in range(n):
-        k = int(rng.integers(2, 17))
-        draws.append((k, rng.uniform(1.0 / k, 1.0), rng.uniform(1.0 / k, 1.0)))
-    ks, star_a, star_b = zip(*draws)
-    return np.array(ks, dtype=np.int64), np.array(star_a), np.array(star_b)
+    ks = rng.integers(2, 17, size=n)
+    low = 1.0 / ks
+    return ks, rng.uniform(low, 1.0), rng.uniform(low, 1.0)
 
 
 def _two_mass_rows(p_star: np.ndarray, k: int) -> np.ndarray:
