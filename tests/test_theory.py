@@ -318,18 +318,18 @@ def test_verification_sweep_all_pass(seed):
         assert check.passed, f"{check.name}: {check.violations} violations"
 
 
-# Rows of run_verification_sweep as computed by the one-pair-at-a-time loop
-# implementation; any change to the random stream or the arithmetic shows here.
+# Rows of run_verification_sweep at seeds 0 and 7; any change to the random
+# draws or the arithmetic shows here.
 SWEEP_GOLDEN = {
     0: [
         ["two_point_entropy_monotone", 149985, 0, 0.0, True],
-        ["chi2_moment_identity", 1000, 0, 3.552713678800501e-15, True],
+        ["chi2_moment_identity", 1000, 0, 2.1316282072803006e-14, True],
         ["kl_tv_chi2_bound", 1000, 0, 0.0, True],
         ["two_mass_entropy_confidence", 100000, 0, 0.0, True],
         ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
         ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
         ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
-        ["score_dist_tv_gaussian", 1, 0, 0.0014844025377160897, True],
+        ["score_dist_tv_gaussian", 1, 0, 0.0015844025377160786, True],
     ],
     7: [
         ["two_point_entropy_monotone", 149985, 0, 0.0, True],
@@ -339,7 +339,7 @@ SWEEP_GOLDEN = {
         ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
         ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
         ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
-        ["score_dist_tv_gaussian", 1, 0, 0.0011655974622837295, True],
+        ["score_dist_tv_gaussian", 1, 0, 0.0006355974622836991, True],
     ],
 }
 
