@@ -42,20 +42,22 @@ class Hyperparams:
     lr_lambda: float = 0.1
 
     def __post_init__(self):
-        if self.eta >= 0.0:
-            raise ValueError(f"eta must be negative, got {self.eta}")
-        if self.lambda_out < 0 or self.lambda_in_penalty < 0 or self.lambda_base < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.delta_max <= 0.0:
+        # written as `not ok` so that NaN fails each check
+        if not -np.inf < self.eta < 0.0:
+            raise ValueError(f"eta must be negative and finite, got {self.eta}")
+        for name in ("lambda_out", "lambda_in_penalty", "lambda_base"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+        if not self.delta_max > 0.0:
             raise ValueError(f"delta_max must be > 0, got {self.delta_max}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not 0.0 < self.omega < np.inf:
+            raise ValueError(f"omega must be > 0 and finite, got {self.omega}")
         if not 0.0 < self.fpr_cutoff < 1.0:
             raise ValueError(f"fpr_cutoff must be in (0, 1), got {self.fpr_cutoff}")
-        if self.lr_lambda <= 0.0:
-            raise ValueError(f"lr_lambda must be > 0, got {self.lr_lambda}")
+        if not 0.0 < self.lr_lambda < np.inf:
+            raise ValueError(f"lr_lambda must be > 0 and finite, got {self.lr_lambda}")
 
 
 @dataclass(frozen=True)

@@ -230,11 +230,25 @@ def test_config_empty_methods_or_seeds_rejected(key):
         ("run", "hidden_sizes", "0"),
         ("run", "hidden_sizes", "-2"),
         ("run", "hidden_sizes", "8, 0"),
+        *(("hyper", key, "nan") for key in KEYS["hyper"]),
+        ("hyper", "eta", "-inf"),
+        ("hyper", "lambda_out", "inf"),
+        ("hyper", "lambda_in", "inf"),
+        ("hyper", "lambda_base", "inf"),
+        ("hyper", "omega", "inf"),
+        ("hyper", "lr_lambda", "inf"),
     ],
 )
 def test_config_rejects_bad_optimizer_and_architecture(section, key, value):
-    with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be"):
+    # the message names the field, which for [hyper] lambda_in differs from the key
+    name = KEYS[section][key][0]
+    with pytest.raises(ConfigError, match=rf"\[{section}\]: {name} must be"):
         parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+def test_config_accepts_unbounded_drift_cap_and_tolerance():
+    spec = parse_config_text("[hyper]\ndelta_max = inf\nepsilon = inf\n")
+    assert spec.base_run.hyper.delta_max == spec.base_run.hyper.epsilon == np.inf
 
 
 def test_default_spec_serializes():
