@@ -148,9 +148,9 @@ class WildBatch:
     def source_features(self):
         """Label-free per-source feature arrays (id, cov, sem)."""
         return (
-            self.features[self.provenance == PROV_ID].copy(),
-            self.features[self.provenance == PROV_COV].copy(),
-            self.features[self.provenance == PROV_SEM].copy(),
+            self.features[self.provenance == PROV_ID],
+            self.features[self.provenance == PROV_COV],
+            self.features[self.provenance == PROV_SEM],
         )
 
 

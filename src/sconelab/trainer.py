@@ -145,7 +145,7 @@ def _probe_score(params, probe, mode, kind, delta, omega):
 
 
 def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
-    """Epoch-constant temporal loss, weight, drifts and parameter gradient."""
+    """Epoch-constant temporal loss, weight, drifts and gradient (None if no term fires)."""
     s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, mode, kind, delta, hp.omega)
     s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, mode, kind, delta, hp.omega)
     l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
@@ -157,7 +157,7 @@ def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
         if dl != 0.0
     ]
     if not parts:
-        return l_temp, w_temp, d_id, d_cov, params.zeros_like()
+        return l_temp, w_temp, d_id, d_cov, None
     for other in parts[1:]:
         _accumulate(parts[0], other)
     return l_temp, w_temp, d_id, d_cov, parts[0]

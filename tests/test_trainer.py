@@ -172,6 +172,27 @@ def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
         assert d_id == 0.0 and d_cov == 0.0
 
 
+@pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac"])
+def test_epoch_temporal_term_inactive_within_tolerance(method):
+    cfg = small_cfg(method=method)
+    hp = cfg.effective_hyper()
+    splits, params = _fresh_setup(cfg)
+    kind = cfg.score_kind
+    delta = trainer_mod._fit_delta(params, splits, kind)
+    s_in = trainer_mod._probe_score(params, splits.probe_in, cfg.mode, kind, delta, hp.omega)[0]
+
+    def term(drift):
+        # the ID score fell by drift; the covariate score fell, which is no drift
+        state = TemporalState(prev_in_score=s_in + drift, prev_cov_score=2.0)
+        return trainer_mod._epoch_temporal_term(params, splits, state, hp, cfg.mode, kind, delta, 1)
+
+    l_temp, w_temp, d_id, d_cov, g_temp = term(0.5 * hp.epsilon)
+    assert d_id > 0.0 and d_cov == 0.0 and d_id <= hp.epsilon
+    assert l_temp == w_temp == 0.0 and g_temp is None
+    l_temp, _, _, _, g_temp = term(2.0 * hp.epsilon)
+    assert l_temp > 0.0 and np.isfinite(g_temp.flatten()).all()
+
+
 def test_scone_reduction_bitwise_identical():
     hyper = Hyperparams(lambda_base=0.0)
     trace_a, trace_b = [], []
