@@ -2,10 +2,10 @@
 temporal confidence regularization on synthetic drifting streams."""
 
 from .config import ExperimentSpec, default_spec, parse_config
-from .losses import Hyperparams, LossBreakdown, MultiplierState
+from .losses import Hyperparams, LossBreakdown
 from .metrics import MetricsRecord, accuracy, fit_threshold, fpr_at_tpr
 from .model import ModelParams, OptimizerConfig, init_params
-from .scores import ScoreKind, TemporalState
+from .scores import ScoreKind
 from .stream import DomainSnapshot, StreamConfig, WildBatch
 from .trainer import METHODS, RunConfig, run_stream
 
@@ -15,7 +15,6 @@ __all__ = [
     "parse_config",
     "Hyperparams",
     "LossBreakdown",
-    "MultiplierState",
     "MetricsRecord",
     "accuracy",
     "fit_threshold",
@@ -24,7 +23,6 @@ __all__ = [
     "OptimizerConfig",
     "init_params",
     "ScoreKind",
-    "TemporalState",
     "DomainSnapshot",
     "StreamConfig",
     "WildBatch",

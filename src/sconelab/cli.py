@@ -5,7 +5,8 @@ Subcommands:
   compare        execute every configured method over every seed
   verify-theory  run the divergence/inequality sweep and emit its table
 
-Common flags: --config PATH, --out DIR, --seeds LIST, --method NAME.
+`run` and `compare` take --config PATH, --out DIR and --seeds LIST; `run`
+also takes --method NAME. `verify-theory` takes --out DIR, and
 `--verify-theory` is also accepted as a top-level flag. All outputs are
 deterministic functions of the config: metrics.csv (one row per
 method/seed/timestep), summary.csv (per-timestep seed means), a config
@@ -46,7 +47,11 @@ def _write_atomic(path: str, text: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0)
+    os.umask(umask)
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)

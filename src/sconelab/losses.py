@@ -5,11 +5,14 @@ mean sigmoid(g(E - eta)) and the wild term is mean sigmoid(-g(E - eta)),
 so for the identity head the two are exact complements. The constraint on
 the ID term is enforced with an augmented-Lagrangian pair (linear
 multiplier + quadratic penalty) and dual ascent on the multiplier. Each
-term is one function that returns its value with its derivatives.
+term is one function that returns its value with its derivatives. The
+functions here are stateless: the multiplier and the previous timestep's
+probe scores are plain floats that the trainer's RunState carries and
+passes in.
 
 The temporal drift penalty is asymmetric: it fires when the ID probe score
-falls below, or the covariate probe score rises above, the previous
-timestep's stored value, and only once total drift exceeds the tolerance.
+falls below, or the covariate probe score rises above, the value the
+previous timestep stored, and only once total drift exceeds the tolerance.
 Its adaptive weight ramps from lambda_base to 2*lambda_base as total drift
 approaches delta_max and holds at 2*lambda_base past it, so the penalty
 grows as 2*lambda_base*d_tot there. The weight is part of the
@@ -23,8 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-
-from .scores import TemporalState
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,6 @@ class Hyperparams:
             raise ValueError(f"fpr_cutoff must be in (0, 1), got {self.fpr_cutoff}")
         if not 0.0 < self.lr_lambda < np.inf:
             raise ValueError(f"lr_lambda must be > 0 and finite, got {self.lr_lambda}")
-
-
-@dataclass(frozen=True)
-class MultiplierState:
-    """Dual variable of the ID-energy constraint, carried across timesteps."""
-
-    lambda_in_mult: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -107,12 +101,12 @@ def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
     )
 
 
-def alm_in(l_in_value: float, state: MultiplierState, hp: Hyperparams) -> tuple[float, float]:
+def alm_in(l_in_value: float, lambda_in_mult: float, hp: Hyperparams) -> tuple[float, float]:
     """Augmented-Lagrangian term lambda*c + (lambda_in/2)*c^2, c = L_in - cutoff,
     and its slope d/dL_in = lambda + lambda_in*c; returns (value, slope)."""
     c = l_in_value - hp.fpr_cutoff
-    value = state.lambda_in_mult * c + 0.5 * hp.lambda_in_penalty * c * c
-    return value, state.lambda_in_mult + hp.lambda_in_penalty * c
+    value = lambda_in_mult * c + 0.5 * hp.lambda_in_penalty * c * c
+    return value, lambda_in_mult + hp.lambda_in_penalty * c
 
 
 def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
@@ -131,22 +125,21 @@ def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
 
 
 def temporal_loss_grad(
-    state: TemporalState, s_in_t: float, s_cov_t: float, hp: Hyperparams, t: int
+    prev_scores: tuple[float, float], s_in_t: float, s_cov_t: float, hp: Hyperparams
 ):
     """Temporal drift penalty and its score slopes; returns
     (l_temp, w_temp, d_id, d_cov, d l_temp/d s_in, d l_temp/d s_cov).
 
-    Zero at t=0 or before any timestep has stored scores, and whenever
-    total drift stays within the tolerance. Stored previous scores are
-    constants (no gradient flows into the past). With d_tot = d_id + d_cov,
-    dl/dd_tot is 0 within epsilon, lambda_base*(1 + 2*d_tot/delta_max) on
+    prev_scores holds the (ID, covariate) probe scores the previous timestep
+    stored. They are constants (no gradient flows into the past). The penalty
+    is zero whenever total drift stays within the tolerance. With
+    d_tot = d_id + d_cov, dl/dd_tot is 0 within epsilon, lambda_base*(1 + 2*d_tot/delta_max) on
     the ramp and 2*lambda_base from delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and
     d l/d s_cov is +dl/dd_tot while d_cov > 0; both are 0 otherwise.
     """
-    if t == 0 or state.prev_in_score is None or state.prev_cov_score is None:
-        return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
-    d_id = max(0.0, state.prev_in_score - s_in_t)
-    d_cov = max(0.0, s_cov_t - state.prev_cov_score)
+    prev_in, prev_cov = prev_scores
+    d_id = max(0.0, prev_in - s_in_t)
+    d_cov = max(0.0, s_cov_t - prev_cov)
     d_tot = d_id + d_cov
     if d_tot <= hp.epsilon:
         return 0.0, 0.0, d_id, d_cov, 0.0, 0.0
@@ -185,9 +178,6 @@ def total_loss(
     )
 
 
-def update_multipliers(
-    state: MultiplierState, l_in_epoch: float, hp: Hyperparams
-) -> MultiplierState:
+def update_multipliers(lambda_in_mult: float, l_in_epoch: float, hp: Hyperparams) -> float:
     """Dual ascent on the ID-energy multiplier, clipped to stay nonnegative."""
-    lam = max(0.0, state.lambda_in_mult + hp.lr_lambda * (l_in_epoch - hp.fpr_cutoff))
-    return MultiplierState(lambda_in_mult=lam)
+    return max(0.0, lambda_in_mult + hp.lr_lambda * (l_in_epoch - hp.fpr_cutoff))

@@ -1,7 +1,7 @@
 """Confidence scoring from logits: max-softmax and negative-entropy scores
-and their logits gradients, threshold fitting, hard and sigmoid-smoothed
-threshold-count estimates, and the temporal state the drift penalty
-compares against.
+and their logits gradients, threshold fitting, and hard and sigmoid-smoothed
+threshold-count estimates. The probe scores the drift penalty compares
+against are kept by the trainer's RunState, not here.
 
 Every score goes through unit_scores_grad_logits, so the probe scores
 stored for the next timestep, the scores the drift penalty compares with
@@ -17,7 +17,6 @@ threshold semantics are unchanged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -28,15 +27,6 @@ from .model import log_softmax
 class ScoreKind(enum.Enum):
     MAX_CONFIDENCE = "max_confidence"
     NEG_ENTROPY = "neg_entropy"
-
-
-@dataclass
-class TemporalState:
-    """Probe scores stored at the end of the previous timestep, which the
-    drift penalty compares against; absent until one timestep completes."""
-
-    prev_in_score: float | None = None
-    prev_cov_score: float | None = None
 
 
 def unit_scores_grad_logits(logits: np.ndarray, kind: ScoreKind):

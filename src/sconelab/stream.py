@@ -80,8 +80,13 @@ class StreamConfig:
             raise ValueError(f"input_dim must be >= 2, got {self.input_dim}")
         if self.regime not in (REGIME_DYNAMIC, REGIME_DISTINCT):
             raise ValueError(f"regime must be dynamic or distinct, got {self.regime!r}")
-        if self.class_cov_scale <= 0.0:
-            raise ValueError(f"class_cov_scale must be > 0, got {self.class_cov_scale}")
+        # written as `not ok` so that NaN fails each check
+        if not 0.0 < self.class_cov_scale < np.inf:
+            raise ValueError(f"class_cov_scale must be > 0 and finite, got {self.class_cov_scale}")
+        if not np.isfinite(self.drift_angle_per_step):
+            raise ValueError(
+                f"drift_angle_per_step must be finite, got {self.drift_angle_per_step}"
+            )
         if self.samples_per_split < 1:
             raise ValueError("samples_per_split must be positive")
         t_count = self.num_timesteps
@@ -101,11 +106,17 @@ class StreamConfig:
             self.corruption_sigma_schedule = _as_schedule(
                 self.corruption_sigma_schedule, t_count, "corruption_sigma"
             )
+        for name in ("pi_cov_schedule", "pi_sem_schedule"):
+            if not all(p >= 0.0 for p in getattr(self, name)):
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         for pc, ps in zip(self.pi_cov_schedule, self.pi_sem_schedule):
-            if pc < 0 or ps < 0 or pc + ps >= 1.0:
+            if not pc + ps < 1.0:
                 raise ValueError(f"mixture weights must satisfy pi_cov + pi_sem < 1, got {pc}, {ps}")
-        if any(s < 0 for s in self.corruption_sigma_schedule):
-            raise ValueError("corruption sigmas must be >= 0")
+        if not all(0.0 <= s < np.inf for s in self.corruption_sigma_schedule):
+            raise ValueError(
+                "corruption_sigma_schedule must be >= 0 and finite, "
+                f"got {self.corruption_sigma_schedule}"
+            )
 
 
 def _as_schedule(value, t_count: int, name: str) -> tuple[float, ...]:

@@ -9,8 +9,12 @@ parameter gradient is folded into every minibatch step scaled by
 1/(#minibatches). The probe scores stored at the end of a timestep, which
 the next timestep's drift is measured against, come from the same helper
 and logits formula as the epoch term. The ID-energy multiplier is updated
-by dual ascent after each epoch from the full-split ID energy loss. Model,
-multiplier and temporal state all carry forward across timesteps.
+by dual ascent after each epoch from the full-split ID energy loss.
+
+One RunState carries a run from one timestep to the next: the model and
+its momentum, the multiplier, the stored probe scores and the ATC
+threshold delta. train_timestep updates it in place and returns the
+timestep's record.
 
 The plain energy-margin baseline ("scone") runs the identical code path
 with the temporal weight forced to zero, which keeps its trajectory
@@ -32,7 +36,6 @@ import numpy as np
 from .losses import (
     Hyperparams,
     LossBreakdown,
-    MultiplierState,
     alm_in,
     loss_in_grad,
     loss_out_grad,
@@ -57,7 +60,6 @@ from .model import (
 )
 from .scores import (
     ScoreKind,
-    TemporalState,
     atc_threshold,
     diff_ac_grad_logits,
     diff_atc_grad_logits,
@@ -117,6 +119,22 @@ class RunConfig:
         return self.hyper
 
 
+@dataclass
+class RunState:
+    """What one timestep hands to the next, updated in place by train_timestep.
+
+    prev_scores holds the (ID, covariate) probe scores of the last finished
+    timestep and delta the ATC threshold; both stay None until timestep 0
+    has stored them.
+    """
+
+    params: ModelParams
+    momentum: ModelParams
+    lambda_in_mult: float = 0.0
+    prev_scores: tuple[float, float] | None = None
+    delta: float | None = None
+
+
 def mix_batches(id_batch, cov_batch, sem_batch, rng: np.random.Generator) -> np.ndarray:
     """Concatenate per-source feature batches and apply a seeded permutation."""
     parts = [np.asarray(b, dtype=float) for b in (id_batch, cov_batch, sem_batch)]
@@ -144,12 +162,12 @@ def _probe_score(params, probe, mode, kind, delta, omega):
     return (*diff_ac_grad_logits(logits), acts)
 
 
-def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
+def _epoch_temporal_term(params, splits, prev_scores, hp, mode, kind, delta):
     """Epoch-constant temporal loss, weight, drifts and gradient (None if no term fires)."""
     s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, mode, kind, delta, hp.omega)
     s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, mode, kind, delta, hp.omega)
     l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
-        state, s_in, s_cov, hp, t
+        prev_scores, s_in, s_cov, hp
     )
     parts = [
         backward_from_logits(params, acts, dl * dz)
@@ -163,7 +181,7 @@ def _epoch_temporal_term(params, splits, state, hp, mode, kind, delta, t):
     return l_temp, w_temp, d_id, d_cov, parts[0]
 
 
-def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyperparams):
+def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyperparams):
     """Per-minibatch objective pieces and their parameter gradient.
 
     The ID batch feeds cross-entropy and the constrained in-distribution
@@ -176,7 +194,7 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, mult: MultiplierState, hp: Hyp
     logp_id, e_id = log_softmax_energy(logits_id)
     probs_id = np.exp(logp_id)
     l_in_v, dlin_de, dlin_dgw, dlin_dgb = loss_in_grad(e_id, params, hp.eta)
-    alm_v, w_alm = alm_in(l_in_v, mult, hp)
+    alm_v, w_alm = alm_in(l_in_v, lambda_in_mult, hp)
     # taken before cross_entropy_from_log_softmax turns probs_id into its gradient
     dz_energy = (w_alm * dlin_de)[:, None] * probs_id
     ce, dz_id = cross_entropy_from_log_softmax(logp_id, probs_id, yb)
@@ -223,28 +241,21 @@ def _ce_loss_grads(params, xb, yb):
     return ce, backward_from_logits(params, acts, dz)
 
 
-def train_timestep(
-    params: ModelParams,
-    momentum: ModelParams,
-    splits: TimestepSplits,
-    cfg: RunConfig,
-    optimizer: OptimizerConfig,
-    hp: Hyperparams,
-    mult_state: MultiplierState,
-    temporal_state: TemporalState,
-    delta: float | None,
-):
-    """One timestep of training, then its record.
+def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> MetricsRecord:
+    """One timestep of training; updates state in place and returns the record.
 
-    Returns (params, momentum, mult_state, temporal_state, delta, record),
-    delta being the ATC threshold for the next timestep. Timestep 0 is
-    initialization: cross-entropy only, with no wild batches, temporal term
-    or dual ascent, and delta is fit on its validation split before the
-    probe scores are stored; the delta passed in is not read. Later
-    timesteps train the full objective and refit delta after the record
-    when cfg.refit_delta is set. Probe scores stored for the next timestep
-    are computed with the final parameters.
+    Timestep 0 is initialization: cross-entropy only, with no wild batches,
+    temporal term or dual ascent, and delta is fit on its validation split
+    before the probe scores are stored. Later timesteps train the full
+    objective and refit delta after the record when cfg.refit_delta is set,
+    so the record uses the delta from before the refit. Probe scores stored
+    for the next timestep are computed with the final parameters.
     """
+    hp = cfg.effective_hyper()
+    optimizer = cfg.optimizer
+    if cfg.stream.regime == REGIME_DISTINCT and splits.t >= 2:
+        optimizer = replace(optimizer, base_lr=optimizer.base_lr * DISTINCT_LR_BOOST)
+    params, momentum = state.params, state.momentum
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
     batch = min(optimizer.batch_size, n)
@@ -263,7 +274,7 @@ def train_timestep(
         temporal_active = False
         if wild:
             l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
-                params, splits, temporal_state, hp, cfg.mode, kind, delta, splits.t
+                params, splits, state.prev_scores, hp, cfg.mode, kind, state.delta
             )
             temporal_active = l_temp != 0.0
             if temporal_active:
@@ -280,7 +291,7 @@ def train_timestep(
             if wild:
                 wb = wild_pool[b * wild_batch : (b + 1) * wild_batch]
                 ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(
-                    params, x[rows], y[rows], wb, mult_state, hp
+                    params, x[rows], y[rows], wb, state.lambda_in_mult, hp
                 )
                 if temporal_active:
                     _accumulate(grads, g_temp_step)
@@ -297,23 +308,21 @@ def train_timestep(
 
         if wild:
             l_in_full = loss_in_grad(energy(forward(params, x)), params, hp.eta)[0]
-            mult_state = update_multipliers(mult_state, l_in_full, hp)
+            state.lambda_in_mult = update_multipliers(state.lambda_in_mult, l_in_full, hp)
 
+    state.params, state.momentum = params, momentum
     if not wild:
-        delta = _fit_delta(params, splits, kind)
-    temporal_state.prev_in_score = _probe_score(
-        params, splits.probe_in, cfg.mode, kind, delta, hp.omega
-    )[0]
-    temporal_state.prev_cov_score = _probe_score(
-        params, splits.probe_cov, cfg.mode, kind, delta, hp.omega
-    )[0]
-
+        state.delta = _fit_delta(params, splits, kind)
+    state.prev_scores = tuple(
+        _probe_score(params, probe, cfg.mode, kind, state.delta, hp.omega)[0]
+        for probe in (splits.probe_in, splits.probe_cov)
+    )
     record = evaluate_timestep(
-        params, splits, kind, delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
+        params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
     )
     if wild and cfg.refit_delta:
-        delta = _fit_delta(params, splits, kind)
-    return params, momentum, mult_state, temporal_state, delta, record
+        state.delta = _fit_delta(params, splits, kind)
+    return record
 
 
 def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsRecord]:
@@ -325,33 +334,19 @@ def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsR
     """
     with single_blas_thread():
         stream_cfg = replace(cfg.stream, seed=cfg.seed)
-        hp = cfg.effective_hyper()
         params = init_params(
             stream_cfg.input_dim,
             stream_cfg.num_classes,
             cfg.hidden_sizes,
             substream(cfg.seed, PURPOSE_INIT),
         )
-        momentum = params.zeros_like()
-        temporal_state = TemporalState()
-        mult_state = MultiplierState()
-        delta = None  # timestep 0 fits it before anything reads it
-        late_optimizer = cfg.optimizer
-        if stream_cfg.regime == REGIME_DISTINCT:
-            late_optimizer = replace(
-                cfg.optimizer, base_lr=cfg.optimizer.base_lr * DISTINCT_LR_BOOST
-            )
-
+        state = RunState(params=params, momentum=params.zeros_like())
         records: list[MetricsRecord] = []
         for t in range(stream_cfg.num_timesteps):
-            optimizer = late_optimizer if t >= 2 else cfg.optimizer
             splits = make_timestep_splits(
                 stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size
             )
-            params, momentum, mult_state, temporal_state, delta, record = train_timestep(
-                params, momentum, splits, cfg, optimizer, hp, mult_state, temporal_state, delta
-            )
-            records.append(record)
+            records.append(train_timestep(state, splits, cfg))
             if param_trace is not None:
-                param_trace.append(params.copy())
+                param_trace.append(state.params.copy())
         return records

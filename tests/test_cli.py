@@ -237,10 +237,20 @@ def test_config_empty_methods_or_seeds_rejected(key):
         ("hyper", "lambda_base", "inf"),
         ("hyper", "omega", "inf"),
         ("hyper", "lr_lambda", "inf"),
+        ("stream", "class_cov_scale", "nan"),
+        ("stream", "class_cov_scale", "inf"),
+        ("stream", "drift_angle_per_step", "nan"),
+        ("stream", "drift_angle_per_step", "inf"),
+        ("stream", "drift_angle_per_step", "-inf"),
+        ("stream", "corruption_sigma", "nan"),
+        ("stream", "corruption_sigma", "inf"),
+        ("stream", "pi_cov", "nan"),
+        ("stream", "pi_sem", "nan"),
     ],
 )
 def test_config_rejects_bad_optimizer_and_architecture(section, key, value):
-    # the message names the field, which for [hyper] lambda_in differs from the key
+    # the message names the field, which for [hyper] lambda_in and the [stream]
+    # schedules differs from the key
     name = KEYS[section][key][0]
     with pytest.raises(ConfigError, match=rf"\[{section}\]: {name} must be"):
         parse_config_text(f"[{section}]\n{key} = {value}\n")
@@ -269,6 +279,23 @@ def test_cli_run_writes_outputs(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0][:3] == ["method", "seed", "t"]
     assert len(rows) == 1 + 2  # header + T=2 timesteps
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+def test_cli_outputs_follow_umask(tmp_path, umask):
+    # the outputs get the mode a plain open() would give them, not 0600
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        code = main(["run", "--config", cfg, "--out", str(out), "--seeds", "0"])
+    finally:
+        os.umask(previous)
+    assert code == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert "metrics.csv" in names and not any(n.endswith(".tmp") for n in names)
+    for name in names:
+        assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
 def test_cli_compare_scone_reduction_tables_match(tmp_path):

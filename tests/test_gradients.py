@@ -13,7 +13,6 @@ from gradcheck import fd_param_grad, flatten_params, relative_error
 
 from sconelab.losses import (
     Hyperparams,
-    MultiplierState,
     alm_in,
     loss_in_grad,
     loss_out_grad,
@@ -30,7 +29,6 @@ from sconelab.model import (
 )
 from sconelab.scores import (
     ScoreKind,
-    TemporalState,
     diff_ac_grad_logits,
     diff_atc_grad_logits,
 )
@@ -46,7 +44,7 @@ HP = Hyperparams(eta=-2.0, delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1
 # that temporal_setup builds, so the temporal weight is clamped at
 # 2*lambda_base and the penalty is 2*lambda_base*d_tot.
 HP_PAST_CAP = replace(HP, delta_max=0.05)
-MULT = MultiplierState(lambda_in_mult=0.7)
+MULT = 0.7
 
 
 def _top_two_gap(params, x):
@@ -116,10 +114,10 @@ def temporal_setup(params, x_in, x_cov, mode, kind, delta):
     """Previous scores placed so both hinges are active and interior."""
     s_in = probe_score(params, x_in, mode, kind, delta)
     s_cov = probe_score(params, x_cov, mode, kind, delta)
-    return TemporalState(prev_in_score=s_in + 0.1, prev_cov_score=s_cov - 0.1)
+    return s_in + 0.1, s_cov - 0.1
 
 
-def analytic_temporal(params, x_in, x_cov, state, mode, kind, delta, t=2, hp=HP):
+def analytic_temporal(params, x_in, x_cov, prev_scores, mode, kind, delta, hp=HP):
     logits_in, acts_in = forward_cached(params, x_in)
     logits_cov, acts_cov = forward_cached(params, x_cov)
     if mode == "atc":
@@ -128,7 +126,7 @@ def analytic_temporal(params, x_in, x_cov, state, mode, kind, delta, t=2, hp=HP)
     else:
         s_in, dz_in = diff_ac_grad_logits(logits_in)
         s_cov, dz_cov = diff_ac_grad_logits(logits_cov)
-    value, _, _, _, dl_in, dl_cov = temporal_loss_grad(state, s_in, s_cov, hp, t)
+    value, _, _, _, dl_in, dl_cov = temporal_loss_grad(prev_scores, s_in, s_cov, hp)
     grads = params.zeros_like()
     if dl_in:
         g = backward_from_logits(params, acts_in, dl_in * dz_in)
@@ -143,11 +141,11 @@ def analytic_temporal(params, x_in, x_cov, state, mode, kind, delta, t=2, hp=HP)
     return value, grads
 
 
-def numeric_temporal_fn(x_in, x_cov, state, mode, kind, delta, t=2, hp=HP):
+def numeric_temporal_fn(x_in, x_cov, prev_scores, mode, kind, delta, hp=HP):
     def fn(p):
         s_in = probe_score(p, x_in, mode, kind, delta)
         s_cov = probe_score(p, x_cov, mode, kind, delta)
-        value, _, _, _, _, _ = temporal_loss_grad(state, s_in, s_cov, hp, t)
+        value, _, _, _, _, _ = temporal_loss_grad(prev_scores, s_in, s_cov, hp)
         return value
 
     return fn
@@ -201,13 +199,13 @@ def temporal_errors(params, x, x_cov, delta, hp):
     """Returns {temporal label: relative error} under the given hyperparameters."""
     errors = {}
     for label, mode, kind in TEMPORAL_CASES:
-        state = temporal_setup(params, x, x_cov, mode, kind, delta)
-        value, grads = analytic_temporal(params, x, x_cov, state, mode, kind, delta, hp=hp)
+        prev_scores = temporal_setup(params, x, x_cov, mode, kind, delta)
+        value, grads = analytic_temporal(params, x, x_cov, prev_scores, mode, kind, delta, hp=hp)
         assert value > 0.0  # both hinges active by construction
         errors[label] = relative_error(
             flatten_params(grads),
             fd_param_grad(
-                numeric_temporal_fn(x, x_cov, state, mode, kind, delta, hp=hp), params, STEP
+                numeric_temporal_fn(x, x_cov, prev_scores, mode, kind, delta, hp=hp), params, STEP
             ),
         )
     return errors
@@ -272,24 +270,21 @@ def test_minibatch_composite_gradient():
 
 def test_epoch_temporal_term_matches_finite_differences():
     """The trainer's epoch-level temporal gradient is the analytic one."""
-    from dataclasses import replace
-
-    from sconelab.trainer import RunConfig
-
     r, params, x, y, x_cov = random_case(900)
     delta = 0.6
-    state = temporal_setup(params, x, x_cov, "atc", ScoreKind.MAX_CONFIDENCE, delta)
+    prev_scores = temporal_setup(params, x, x_cov, "atc", ScoreKind.MAX_CONFIDENCE, delta)
 
     class FakeSplits:
         probe_in = x
         probe_cov = x_cov
-        t = 2
 
     l_temp, w_temp, d_id, d_cov, grad = _epoch_temporal_term(
-        params, FakeSplits, state, HP, "atc", ScoreKind.MAX_CONFIDENCE, delta, 2
+        params, FakeSplits, prev_scores, HP, "atc", ScoreKind.MAX_CONFIDENCE, delta
     )
     assert l_temp > 0 and d_id > 0 and d_cov > 0
     numeric = fd_param_grad(
-        numeric_temporal_fn(x, x_cov, state, "atc", ScoreKind.MAX_CONFIDENCE, delta), params, STEP
+        numeric_temporal_fn(x, x_cov, prev_scores, "atc", ScoreKind.MAX_CONFIDENCE, delta),
+        params,
+        STEP,
     )
     assert relative_error(flatten_params(grad), numeric) <= TOL

@@ -6,7 +6,6 @@ from scipy.special import expit
 
 from sconelab.losses import (
     Hyperparams,
-    MultiplierState,
     adaptive_weight,
     alm_in,
     loss_in_grad,
@@ -16,7 +15,6 @@ from sconelab.losses import (
     update_multipliers,
 )
 from sconelab.model import init_params
-from sconelab.scores import TemporalState
 
 
 @pytest.fixture
@@ -97,16 +95,14 @@ def test_empty_energy_batches_rejected(identity_head):
 
 
 def test_alm_in_satisfied_constraint_is_zero():
-    state = MultiplierState(lambda_in_mult=3.0)
     h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
-    assert alm_in(0.05, state, h)[0] == pytest.approx(0.0)
+    assert alm_in(0.05, 3.0, h)[0] == pytest.approx(0.0)
 
 
 def test_alm_in_direct_arithmetic():
-    state = MultiplierState(lambda_in_mult=2.0)
     h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
     # c = 0.1: 2*0.1 + 2*0.01 = 0.22
-    assert alm_in(0.15, state, h) == pytest.approx((0.22, 2.4))
+    assert alm_in(0.15, 2.0, h) == pytest.approx((0.22, 2.4))
 
 
 def test_adaptive_weight_floor_cap_midpoint():
@@ -131,23 +127,14 @@ def test_adaptive_weight_monotone_and_bounded(d_id, d_cov, bump):
     assert adaptive_weight(d_id + (d_cov + bump), h)[0] >= w
 
 
-def test_temporal_loss_initial_timestep_is_zero():
-    state = TemporalState()
-    assert temporal_loss_grad(state, 0.5, 0.5, hp(), t=0)[:4] == (0.0, 0.0, 0.0, 0.0)
-    # missing previous scores behaves the same even at t > 0
-    assert temporal_loss_grad(state, 0.5, 0.5, hp(), t=3)[:4] == (0.0, 0.0, 0.0, 0.0)
-
-
 def test_temporal_loss_favorable_drift_is_free():
-    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
-    l, w, d_id, d_cov = temporal_loss_grad(state, 0.95, 0.45, hp(), t=2)[:4]
+    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.95, 0.45, hp())[:4]
     assert (l, w, d_id, d_cov) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_hinge_arithmetic():
-    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
-    l, w, d_id, d_cov = temporal_loss_grad(state, 0.8, 0.6, h, t=2)[:4]
+    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.8, 0.6, h)[:4]
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
     assert w == pytest.approx(adaptive_weight(0.1 + 0.1, h)[0])
     assert l == pytest.approx(w * 0.2)
@@ -156,9 +143,8 @@ def test_temporal_loss_hinge_arithmetic():
 def test_temporal_loss_past_cap_arithmetic():
     # d_id = 0.3 and d_cov = 0.1 put d_tot = 0.4 past delta_max = 0.2: the
     # weight holds at 2*lambda_base and the penalty keeps growing with d_tot.
-    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
-    l, w, d_id, d_cov, dl_in, dl_cov = temporal_loss_grad(state, 0.6, 0.6, h, t=2)
+    l, w, d_id, d_cov, dl_in, dl_cov = temporal_loss_grad((0.9, 0.5), 0.6, 0.6, h)
     assert d_id == pytest.approx(0.3) and d_cov == pytest.approx(0.1)
     assert w == pytest.approx(2.0)
     assert l == pytest.approx(0.8)
@@ -166,9 +152,8 @@ def test_temporal_loss_past_cap_arithmetic():
 
 
 def test_temporal_loss_gated_below_tolerance():
-    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.5)
     h = hp(epsilon=0.25)
-    l, w, d_id, d_cov = temporal_loss_grad(state, 0.8, 0.6, h, t=2)[:4]
+    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.8, 0.6, h)[:4]
     assert l == 0.0 and w == 0.0
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
 
@@ -200,30 +185,24 @@ def test_total_loss_rejects_nonfinite_parts():
 
 
 def test_update_multipliers_zero_violation():
-    state = MultiplierState(lambda_in_mult=1.0)
     h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
-    out = update_multipliers(state, 0.05, h)
-    assert out.lambda_in_mult == pytest.approx(1.0)
+    assert update_multipliers(1.0, 0.05, h) == pytest.approx(1.0)
 
 
 def test_update_multipliers_arithmetic_and_clipping():
     h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
-    out = update_multipliers(MultiplierState(), 0.10, h)
-    assert out.lambda_in_mult == pytest.approx(0.05)
-    clipped = update_multipliers(MultiplierState(lambda_in_mult=0.02), 0.0, h)
-    assert clipped.lambda_in_mult == 0.0  # update of -0.03 clips at zero
+    assert update_multipliers(0.0, 0.10, h) == pytest.approx(0.05)
+    assert update_multipliers(0.02, 0.0, h) == 0.0  # update of -0.03 clips at zero
 
 
 @given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_multipliers_stay_nonnegative(l_in_value, lam):
-    out = update_multipliers(MultiplierState(lambda_in_mult=lam), l_in_value, hp(lr_lambda=2.0))
-    assert out.lambda_in_mult >= 0.0
+    assert update_multipliers(lam, l_in_value, hp(lr_lambda=2.0)) >= 0.0
 
 
 def test_multiplier_monotone_response():
     h = hp(lr_lambda=0.5)
-    base = MultiplierState(lambda_in_mult=1.0)
-    small = update_multipliers(base, 0.10, h).lambda_in_mult
-    large = update_multipliers(base, 0.30, h).lambda_in_mult
+    small = update_multipliers(1.0, 0.10, h)
+    large = update_multipliers(1.0, 0.30, h)
     assert large > small

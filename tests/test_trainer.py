@@ -5,12 +5,14 @@ import pytest
 
 from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
-from sconelab.losses import Hyperparams, MultiplierState
-from sconelab.model import OptimizerConfig, init_params
-from sconelab.scores import ScoreKind, TemporalState
+from sconelab.losses import Hyperparams, loss_in_grad, update_multipliers
+from sconelab.metrics import evaluate_timestep
+from sconelab.model import OptimizerConfig, energy, forward, init_params
+from sconelab.scores import ScoreKind
 from sconelab.stream import StreamConfig, make_timestep_splits, substream
 from sconelab.trainer import (
     RunConfig,
+    RunState,
     _minibatch_loss_grads,
     mix_batches,
     run_stream,
@@ -81,19 +83,9 @@ def _fresh_setup(cfg, t=1):
 def test_train_timestep_zero_epochs_is_identity():
     cfg = small_cfg(epochs_per_timestep=0)
     splits, params = _fresh_setup(cfg)
-    state = TemporalState(prev_in_score=0.5, prev_cov_score=0.5)
-    out, _, _, state, _, record = train_timestep(
-        params.copy(),
-        params.zeros_like(),
-        splits,
-        cfg,
-        cfg.optimizer,
-        cfg.hyper,
-        MultiplierState(),
-        state,
-        delta=0.5,
-    )
-    assert params_equal(out, params)
+    state = RunState(params.copy(), params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
+    record = train_timestep(state, splits, cfg)
+    assert params_equal(state.params, params)
     assert record.t == splits.t
     assert record.loss.total == 0.0
 
@@ -101,7 +93,7 @@ def test_train_timestep_zero_epochs_is_identity():
 def test_temporal_loss_constant_within_epoch(monkeypatch):
     cfg = small_cfg(epochs_per_timestep=4)
     splits, params = _fresh_setup(cfg)
-    state = TemporalState(prev_in_score=0.9, prev_cov_score=0.1)
+    state = RunState(params.copy(), params.zeros_like(), prev_scores=(0.9, 0.1), delta=0.5)
     values = []
     temporal_loss_grad = trainer_mod.temporal_loss_grad
 
@@ -111,17 +103,7 @@ def test_temporal_loss_constant_within_epoch(monkeypatch):
         return out
 
     monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
-    _, _, _, state, _, record = train_timestep(
-        params.copy(),
-        params.zeros_like(),
-        splits,
-        cfg,
-        cfg.optimizer,
-        cfg.hyper,
-        MultiplierState(),
-        state,
-        delta=0.5,
-    )
+    record = train_timestep(state, splits, cfg)
     assert len(values) == 4  # one temporal evaluation per epoch
     assert record.loss.l_temp == pytest.approx(values[-1])
 
@@ -148,27 +130,23 @@ def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
     seen = []
     temporal_loss_grad = trainer_mod.temporal_loss_grad
 
-    def spy(state, s_in, s_cov, hp, t):
+    def spy(prev_scores, s_in, s_cov, hp):
         seen.append((s_in, s_cov))
-        return temporal_loss_grad(state, s_in, s_cov, hp, t)
+        return temporal_loss_grad(prev_scores, s_in, s_cov, hp)
 
     monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
     for trained in trace:
-        params, _, _, state, delta, _ = train_timestep(
+        state = RunState(
             trained.copy(),
             trained.zeros_like(),
-            splits,
-            cfg,
-            cfg.optimizer,
-            hp,
-            MultiplierState(),
-            TemporalState(),
+            prev_scores=(0.0, 1.0),  # scores lie in [0, 1], so no drift fires
             delta=trainer_mod._fit_delta(trained, splits, kind),
         )
+        train_timestep(state, splits, cfg)
         _, _, d_id, d_cov, _ = trainer_mod._epoch_temporal_term(
-            params, splits, state, hp, cfg.mode, kind, delta, splits.t
+            state.params, splits, state.prev_scores, hp, cfg.mode, kind, state.delta
         )
-        assert seen[-1] == (state.prev_in_score, state.prev_cov_score)
+        assert seen[-1] == state.prev_scores
         assert d_id == 0.0 and d_cov == 0.0
 
 
@@ -183,14 +161,55 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
 
     def term(drift):
         # the ID score fell by drift; the covariate score fell, which is no drift
-        state = TemporalState(prev_in_score=s_in + drift, prev_cov_score=2.0)
-        return trainer_mod._epoch_temporal_term(params, splits, state, hp, cfg.mode, kind, delta, 1)
+        prev_scores = (s_in + drift, 2.0)
+        return trainer_mod._epoch_temporal_term(
+            params, splits, prev_scores, hp, cfg.mode, kind, delta
+        )
 
     l_temp, w_temp, d_id, d_cov, g_temp = term(0.5 * hp.epsilon)
     assert d_id > 0.0 and d_cov == 0.0 and d_id <= hp.epsilon
     assert l_temp == w_temp == 0.0 and g_temp is None
     l_temp, _, _, _, g_temp = term(2.0 * hp.epsilon)
     assert l_temp > 0.0 and np.isfinite(g_temp.flatten()).all()
+
+
+def test_run_state_hand_off():
+    """What each timestep leaves in RunState for the next one."""
+    cfg = small_cfg(epochs_per_timestep=1, refit_delta=True)
+    hp, kind = cfg.effective_hyper(), cfg.score_kind
+    splits_0, params = _fresh_setup(cfg, t=0)
+    state = RunState(params, params.zeros_like())
+    train_timestep(state, splits_0, cfg)
+    # t = 0 fits delta on its final params, stores their probe scores and
+    # leaves the multiplier alone
+    delta_0 = trainer_mod._fit_delta(state.params, splits_0, kind)
+    assert state.delta == delta_0
+    assert state.prev_scores == tuple(
+        trainer_mod._probe_score(state.params, probe, cfg.mode, kind, delta_0, hp.omega)[0]
+        for probe in (splits_0.probe_in, splits_0.probe_cov)
+    )
+    assert state.lambda_in_mult == 0.0
+
+    splits_1, _ = _fresh_setup(cfg, t=1)
+    record = train_timestep(state, splits_1, cfg)
+    # one epoch: one dual-ascent step on the full-split l_in of the final params
+    l_in = loss_in_grad(energy(forward(state.params, splits_1.train_x)), state.params, hp.eta)[0]
+    assert state.lambda_in_mult == update_multipliers(0.0, l_in, hp) > 0.0
+    # refit_delta moves delta after the record, which still uses t = 0's delta
+    assert state.delta == trainer_mod._fit_delta(state.params, splits_1, kind) != delta_0
+    drift = (record.drift_d_id, record.drift_d_cov)
+    expected = evaluate_timestep(state.params, splits_1, kind, delta_0, drift, record.loss)
+    refit = evaluate_timestep(state.params, splits_1, kind, state.delta, drift, record.loss)
+    assert record == expected
+    assert (refit.atc_in, refit.atc_cov) != (record.atc_in, record.atc_cov)
+
+    # t = 2 steps on from the multiplier t = 1 left
+    lambda_1 = state.lambda_in_mult
+    splits_2, _ = _fresh_setup(cfg, t=2)
+    train_timestep(state, splits_2, cfg)
+    l_in = loss_in_grad(energy(forward(state.params, splits_2.train_x)), state.params, hp.eta)[0]
+    assert state.lambda_in_mult == update_multipliers(lambda_1, l_in, hp)
+    assert state.lambda_in_mult != update_multipliers(0.0, l_in, hp)
 
 
 def test_scone_reduction_bitwise_identical():
@@ -233,19 +252,24 @@ def test_distinct_regime_scales_learning_rate_after_init(monkeypatch):
         num_timesteps=3, num_classes=4, input_dim=5, samples_per_split=384, regime="distinct"
     )
     cfg = small_cfg(stream=stream)
-    seen = []
-    train = trainer_mod.train_timestep
+    seen = {}  # timestep -> base_lr of every optimizer sgd_step received
+    make_splits, step = trainer_mod.make_timestep_splits, trainer_mod.sgd_step
 
-    def spy(params, momentum, splits, cfg, optimizer, *rest):
-        seen.append(optimizer.base_lr)
-        return train(params, momentum, splits, cfg, optimizer, *rest)
+    def splits_spy(stream_cfg, t, *args):
+        seen[t] = set()
+        return make_splits(stream_cfg, t, *args)
 
-    monkeypatch.setattr(trainer_mod, "train_timestep", spy)
+    def step_spy(*args):
+        seen[max(seen)].add(args[-1].base_lr)
+        return step(*args)
+
+    monkeypatch.setattr(trainer_mod, "make_timestep_splits", splits_spy)
+    monkeypatch.setattr(trainer_mod, "sgd_step", step_spy)
     records = run_stream(cfg)
     assert len(records) == 3
     base = cfg.optimizer.base_lr
-    assert seen == [base, base, base * trainer_mod.DISTINCT_LR_BOOST]
-    assert seen[2] > base  # a boost, not a no-op factor
+    assert seen == {0: {base}, 1: {base}, 2: {base * trainer_mod.DISTINCT_LR_BOOST}}
+    assert max(seen[2]) > base  # a boost, not a no-op factor
 
 
 def test_separable_snapshot_trains_to_high_accuracy():
@@ -273,9 +297,7 @@ def test_minibatch_loss_grads_rejects_nonfinite_logits(bad_batch):
     wild = r.normal(size=(6, 5))
     (x if bad_batch == "id" else wild)[2, 1] = np.nan
     with pytest.raises(ValueError, match="logits must be finite"):
-        _minibatch_loss_grads(
-            params, x, r.integers(0, 4, size=6), wild, MultiplierState(), Hyperparams()
-        )
+        _minibatch_loss_grads(params, x, r.integers(0, 4, size=6), wild, 0.0, Hyperparams())
 
 
 needs_openblas = pytest.mark.skipif(
