@@ -59,6 +59,11 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"duplicate {name} {repeated[0]!r} in {list(values)}")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ValueError(
+                f"negative seed {negative[0]} in {list(self.seeds)}; seeds must be >= 0"
+            )
         if self.emit not in EMIT_MODES:
             raise ValueError(f"emit must be one of {EMIT_MODES}, got {self.emit!r}")
 

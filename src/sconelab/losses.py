@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
+
+from .model import sigmoid
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def loss_in_grad(energies_id: np.ndarray, params, eta: float):
     if e.size == 0:
         raise ValueError("empty ID energy batch")
     u = params.g_weight * (e - eta) + params.g_bias
-    s = expit(u)
+    s = sigmoid(u)
     sp = s * (1.0 - s) / e.size
     return float(s.mean()), sp * params.g_weight, float((sp * (e - eta)).sum()), float(sp.sum())
 
@@ -91,7 +92,7 @@ def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
     if e.size == 0:
         raise ValueError("empty wild energy batch")
     u = -(params.g_weight * (e - eta) + params.g_bias)
-    s = expit(u)
+    s = sigmoid(u)
     sp = s * (1.0 - s) / e.size
     return (
         float(s.mean()),

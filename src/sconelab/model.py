@@ -284,6 +284,17 @@ def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) 
     return ModelParams(grad_w, grad_b, 0.0, 0.0)
 
 
+def sigmoid(x):
+    """Logistic function 1 / (1 + exp(-x)), elementwise.
+
+    Below x of about -709, exp(-x) overflows to inf and the result is 0.0,
+    off by less than the smallest normal float; that overflow is expected,
+    so it raises no warning.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def log_softmax_energy(logits: np.ndarray):
     """(log_softmax(z), energy(z)) from one max-shifted log-partition.
 

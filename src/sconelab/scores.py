@@ -19,9 +19,8 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import expit
 
-from .model import log_softmax
+from .model import log_softmax, sigmoid
 
 
 class ScoreKind(enum.Enum):
@@ -88,7 +87,7 @@ def diff_atc_grad_logits(logits: np.ndarray, kind: ScoreKind, delta: float, omeg
         raise ValueError(f"smoothing width omega must be > 0, got {omega}")
     s, ds_dz = unit_scores_grad_logits(logits, kind)
     n = s.size
-    sig = expit((delta - s) / omega)
+    sig = sigmoid((delta - s) / omega)
     dval_ds = -sig * (1.0 - sig) / (omega * n)
     return float(sig.mean()), dval_ds[:, None] * ds_dz
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -477,6 +478,29 @@ def test_cli_seeds_flag_empty_item_exits_nonzero(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "seeds_line, flag, message",
+    [
+        ("seeds = 0, -3", [], r"error: \[experiment\]: negative seed -3 in \[0, -3\]"),
+        ("seeds = 0", ["--seeds", "0,-1"], r"error: negative seed -1 in \[0, -1\]"),
+    ],
+    ids=["ini_key", "seeds_flag"],
+)
+def test_cli_negative_seed_rejected_before_any_run(
+    tmp_path, capsys, monkeypatch, seeds_line, flag, message
+):
+    # from the INI key and from --seeds alike, seed 0 must not train first
+    def no_run(cfg):
+        raise AssertionError(f"trained {cfg.method} at seed {cfg.seed}")
+
+    monkeypatch.setattr("sconelab.cli.run_stream", no_run)
+    cfg = write_config(tmp_path, SMALL_RUN.replace("seeds = 0, 1", seeds_line))
+    out = tmp_path / "o"
+    assert main(["compare", "--config", cfg, "--out", str(out), *flag]) == 1
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_cli_run_method_reruns_from_config_echo(tmp_path):
     # the echo names the method run, not the configured list it was picked from
     cfg = write_config(tmp_path, SMALL_RUN)
@@ -506,13 +530,36 @@ def test_cli_linear_model_reruns_from_config_echo(tmp_path):
         assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
-def test_cli_import_defers_scipy_integrate():
-    # only verify-theory's quadrature needs scipy.integrate; every CLI start
-    # would pay for importing it
+NO_SCIPY_RUN = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" and sys.modules[m])
+import sconelab.cli
+loaded = [scipy_modules()]
+out = sys.argv[3]
+assert sconelab.cli.main(["compare", "--config", sys.argv[2], "--seeds", "0", "--out", out]) == 0
+assert sconelab.cli.main(["verify-theory", "--out", out]) == 0
+print(loaded + [scipy_modules()])
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "plain"])
+def test_cli_runs_without_scipy(tmp_path, mode):
+    # numpy is the only runtime dependency: with scipy blocked, importing the
+    # CLI, a 2-timestep compare and verify-theory all succeed; unblocked,
+    # none of them loads a scipy module
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, sconelab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, mode, cfg, str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
     )
-    assert out.stdout.strip() == "False"
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[[], []]"
+    assert (out / "metrics.csv").is_file() and (out / "theory_checks.csv").is_file()

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from sconelab.model import (
     FORWARD_BLOCK_ROWS,
@@ -18,6 +20,7 @@ from sconelab.model import (
     log_softmax,
     log_softmax_energy,
     sgd_step,
+    sigmoid,
 )
 
 
@@ -58,6 +61,26 @@ def test_forward_dimension_mismatch_names_dims():
     params = init_params(5, 3, rng=rng())
     with pytest.raises(ValueError, match="expects 5, got 4"):
         forward(params, np.zeros((2, 4)))
+
+
+def test_sigmoid_within_4_ulp_of_expit():
+    g = np.random.default_rng(0)
+    x = np.concatenate([np.linspace(-1e3, 1e3, 400_001), g.normal(0.0, 10.0, 100_000)])
+    want = expit(x)
+    assert (np.abs(sigmoid(x) - want) <= 4 * np.spacing(want)).all()
+
+
+def test_sigmoid_exact_at_infinities_and_silent_on_overflow():
+    big = np.finfo(float).max
+    x = np.array([-np.inf, -big, -1e3, -745.2, -709.8, 0.0, 709.8, 1e3, big, np.inf])
+    with warnings.catch_warnings():
+        # as under python -W error::RuntimeWarning
+        warnings.simplefilter("error", RuntimeWarning)
+        got = sigmoid(x)
+        scalars = [sigmoid(v) for v in (-np.inf, -1e3, np.inf)]
+    assert got[[0, 1, 2]].tolist() == [0.0, 0.0, 0.0]
+    assert got[[5, 7, 8, 9]].tolist() == [0.5, 1.0, 1.0, 1.0]
+    assert scalars == [0.0, 0.0, 1.0]
 
 
 def test_energy_uniform_logits():

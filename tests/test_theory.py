@@ -268,8 +268,10 @@ def test_chi2_gaussian_small_shift_matches_fisher():
 
 
 def test_chi2_gaussian_quadrature_agreement():
-    got = chi2_gaussian_shift(0.5, 1.0)
-    assert abs(got - _chi2_gaussian_quadrature(0.5, 1.0)) <= 1e-8
+    # the sweep's (delta, sigma) pairs; it allows 1e-8, the trapezoid grid does far better
+    for delta, sigma in ((0.5, 1.0), (0.25, 0.5), (1.0, 2.0)):
+        got = _chi2_gaussian_quadrature(delta, sigma)
+        assert abs(got - chi2_gaussian_shift(delta, sigma)) <= 1e-12, (delta, sigma)
 
 
 def test_chi2_fisher_ratio_monotone():
@@ -329,7 +331,7 @@ SWEEP_GOLDEN = {
         ["two_mass_entropy_confidence", 100000, 0, 0.0, True],
         ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
         ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
-        ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
+        ["chi2_gaussian_quadrature", 3, 0, 1.1102230246251565e-16, True],
         ["score_dist_tv_gaussian", 1, 0, 0.0015844025377160786, True],
     ],
     7: [
@@ -339,7 +341,7 @@ SWEEP_GOLDEN = {
         ["two_mass_entropy_confidence", 100000, 0, 0.0, True],
         ["chi2_fisher_small_shift", 1, 0, 5.0001666708432424e-05, True],
         ["chi2_fisher_ratio_monotone", 3, 0, 0.13610166675096602, True],
-        ["chi2_gaussian_quadrature", 3, 0, 3.3306690738754696e-16, True],
+        ["chi2_gaussian_quadrature", 3, 0, 1.1102230246251565e-16, True],
         ["score_dist_tv_gaussian", 1, 0, 0.0006355974622836991, True],
     ],
 }

@@ -84,7 +84,7 @@ TRAJECTORY_GOLDEN = {
                 1.5715373144788745,
             ],
         ],
-        "2a696694a45da985775a5afd0eee730fffaf9dad4baf253a9191bca3fd687783",
+        "63d393aa080dc5dcf12779bf7e39643013e7030e38de2d073043974cae624ac4",
     ),
     "temp_scone_atc": (
         [
@@ -107,7 +107,7 @@ TRAJECTORY_GOLDEN = {
                 1.5275725864022849, 1.823572143038783,
             ],
         ],
-        "300a949cc00e8452e9d00ceadc752abd282170dfd307a9cdc757d52a3bb6ccef",
+        "ce22880247d04f57a7da056ab376ff3f11c753df476377d39e087705be0dd03d",
     ),
     "temp_scone_ac": (
         [
@@ -131,7 +131,7 @@ TRAJECTORY_GOLDEN = {
                 0.07617866101819809, 1.2942879232941857, 1.6693400787002646,
             ],
         ],
-        "d72995ab81a5122e84c66031e0d680f6425a7863c8ad4792b7cd49c014e83dd3",
+        "f145cf1024e75799c01ad6cd7a6360921e2ae5b45afcf4b275c874b6962e1d4f",
     ),
     "distinct": (
         [
@@ -150,12 +150,12 @@ TRAJECTORY_GOLDEN = {
             [
                 2, 0.5733333333333334, 0.5466666666666666, 1.0, 1.3185386825316598,
                 0.02666666666666667, 0.05, 0.4048278303434947, 0.40256881588595667, 0.0,
-                0.03253842046580735, 1.1708399747814797, 0.9707779585746709,
-                0.029287521098689717, 0.8481639646028106, 0.037832164497855696,
-                1.1626921023290366, 2.0861236249808357,
+                0.03253842046580724, 1.1708399747814797, 0.9707779585746709,
+                0.029287521098689717, 0.8481639646028106, 0.03783216449785556,
+                1.1626921023290362, 2.0861236249808357,
             ],
         ],
-        "15498e6e9c3cf97f6433b11ef37e23ae19123008428ad86a07614508341593d3",
+        "0520d5cd2d4655d7570a14a217769228252e0ee0674ea6f8b9768181e224b013",
     ),
 }
 
