@@ -11,9 +11,10 @@ also takes --method NAME. `verify-theory` takes --out DIR, and
 deterministic functions of the config: metrics.csv (one row per
 method/seed/timestep), summary.csv (per-timestep seed means), a config
 echo, and one JSON-lines record stream per run. `run` and `compare` both
-go through one grid loop, _run_grid. Every CSV cell is printed by the
-config's INI value formatter, so a float cell is its repr and parses back
-to the same bits.
+go through one grid loop, _run_grid, which trains each seed's timestep 0
+once and starts every method of that seed from it. Every CSV cell is
+printed by the config's INI value formatter, so a float cell is its repr
+and parses back to the same bits.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .config import (
 )
 from .metrics import CSV_COLUMNS
 from .theory import SWEEP_COLUMNS, run_verification_sweep
-from .trainer import METHODS, run_stream
+from .trainer import METHODS, initialize, run_stream
 
 METRICS_HEADER = ("method", "seed") + CSV_COLUMNS
 SUMMARY_HEADER = ("method", "t") + CSV_COLUMNS[1:]
@@ -68,10 +69,18 @@ def _csv_text(header, rows) -> str:
 
 
 def _run_grid(spec: ExperimentSpec):
-    """Run the spec's (method, seed) grid method-major; write its outputs once
-    every run has finished. summary.csv is the mean over seeds of the
-    metrics.csv rows of each (method, t)."""
-    runs = {(m, s): run_stream(spec.run_config(m, s)) for m in spec.methods for s in spec.seeds}
+    """Run the spec's (method, seed) grid and write its outputs, method-major,
+    once every run has finished. Runs go seed by seed: timestep 0 reads no
+    method field, so each seed's is trained once and every method starts
+    from it. summary.csv is the mean over seeds of the metrics.csv rows of
+    each (method, t)."""
+    by_seed = {}
+    for s in spec.seeds:
+        init = initialize(spec.run_config(spec.methods[0], s))
+        for m in spec.methods:
+            by_seed[m, s] = run_stream(spec.run_config(m, s), init=init)
+        del init  # one seed's timestep 0 alive at a time
+    runs = {(m, s): by_seed[m, s] for m in spec.methods for s in spec.seeds}
     files = {}
     if spec.emit in ("csv", "both"):
         rows = [[m, s, *r.to_row()] for (m, s), records in runs.items() for r in records]

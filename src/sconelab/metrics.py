@@ -72,9 +72,9 @@ def fit_threshold(id_detection_scores: np.ndarray, target_tpr: float = 0.95) -> 
     n = s.size
     if n < 20:
         raise ValueError(f"need at least 20 ID scores to fit a threshold, got {n}")
-    uniq = np.unique(s)
-    tpr_at = (n - np.searchsorted(s, uniq, side="right")) / n
-    feasible = uniq[tpr_at >= target_tpr]
+    # np.unique would import numpy.ma; a tied candidate repeats its own TPR
+    tpr_at = (n - np.searchsorted(s, s, side="right")) / n
+    feasible = s[tpr_at >= target_tpr]
     if feasible.size == 0:
         return float(np.nextafter(s[0], -np.inf))
     return float(feasible.max())

@@ -16,6 +16,12 @@ its momentum, the multiplier, the stored probe scores and the ATC
 threshold delta. train_timestep updates it in place and returns the
 timestep's record.
 
+Timestep 0 reads no method-specific field, so initialize trains it once
+into a frozen Initialization and run_stream starts any method of the same
+config from it: `sconelab compare` trains each seed's timestep 0 once and
+shares it across the grid's methods. run_stream without an init trains
+its own through the same initialize.
+
 The plain energy-margin baseline ("scone") runs the identical code path
 with the temporal weight forced to zero, which keeps its trajectory
 bitwise comparable to the temporally regularized variants.
@@ -107,6 +113,8 @@ class RunConfig:
             raise ValueError("probe/val/test sizes too small")
         if any(h < 1 for h in self.hidden_sizes):
             raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        if self.seed < 0:
+            raise ValueError(f"negative seed {self.seed}; seeds must be >= 0")
 
     @property
     def mode(self) -> str:
@@ -135,6 +143,26 @@ class RunState:
     delta: float | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class Initialization:
+    """Timestep 0 of a run, as initialize trained it under cfg.
+
+    params, momentum and delta are the state after t = 0, record its
+    MetricsRecord and probes its (ID, covariate) probe batches. Nothing in
+    it depends on cfg.method, so run_stream starts every method of cfg
+    from one Initialization; it copies params and momentum and never
+    writes to the arrays held here. Two are equal only if they are the
+    same object.
+    """
+
+    cfg: RunConfig
+    params: ModelParams
+    momentum: ModelParams
+    delta: float
+    record: MetricsRecord
+    probes: tuple[np.ndarray, np.ndarray]
+
+
 def mix_batches(id_batch, cov_batch, sem_batch, rng: np.random.Generator) -> np.ndarray:
     """Concatenate per-source feature batches and apply a seeded permutation."""
     parts = [np.asarray(b, dtype=float) for b in (id_batch, cov_batch, sem_batch)]
@@ -160,6 +188,14 @@ def _probe_score(params, probe, mode, kind, delta, omega):
     if mode == "atc":
         return (*diff_atc_grad_logits(logits, kind, delta, omega), acts)
     return (*diff_ac_grad_logits(logits), acts)
+
+
+def _stored_scores(params, probes, cfg: RunConfig, delta) -> tuple[float, float]:
+    """The (ID, covariate) probe scores a finished timestep hands to the next."""
+    return tuple(
+        _probe_score(params, probe, cfg.mode, cfg.score_kind, delta, cfg.hyper.omega)[0]
+        for probe in probes
+    )
 
 
 def _epoch_temporal_term(params, splits, prev_scores, hp, mode, kind, delta):
@@ -313,10 +349,8 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     state.params, state.momentum = params, momentum
     if not wild:
         state.delta = _fit_delta(params, splits, kind)
-    state.prev_scores = tuple(
-        _probe_score(params, probe, cfg.mode, kind, state.delta, hp.omega)[0]
-        for probe in (splits.probe_in, splits.probe_cov)
-    )
+    probes = (splits.probe_in, splits.probe_cov)
+    state.prev_scores = _stored_scores(params, probes, cfg, state.delta)
     record = evaluate_timestep(
         params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
     )
@@ -325,28 +359,48 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     return record
 
 
-def run_stream(cfg: RunConfig, param_trace: list | None = None) -> list[MetricsRecord]:
+def _splits(cfg: RunConfig, t: int) -> TimestepSplits:
+    stream_cfg = replace(cfg.stream, seed=cfg.seed)
+    return make_timestep_splits(stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size)
+
+
+def initialize(cfg: RunConfig) -> Initialization:
+    """Train timestep 0 of cfg's run, on one BLAS thread, from its seeded init."""
+    with single_blas_thread():
+        dims = (cfg.stream.input_dim, cfg.stream.num_classes, cfg.hidden_sizes)
+        params = init_params(*dims, substream(cfg.seed, PURPOSE_INIT))
+        state = RunState(params=params, momentum=params.zeros_like())
+        splits = _splits(cfg, 0)
+        record = train_timestep(state, splits, cfg)
+        probes = (splits.probe_in, splits.probe_cov)
+        return Initialization(cfg, state.params, state.momentum, state.delta, record, probes)
+
+
+def run_stream(
+    cfg: RunConfig, param_trace: list | None = None, init: Initialization | None = None
+) -> list[MetricsRecord]:
     """Train sequentially over all timesteps and return one record per t.
 
-    When param_trace is a list, a copy of the parameters is appended after
-    every timestep (used by trajectory-equality tests). Training runs on one
-    BLAS thread; the caller's thread count is restored on return.
+    Timestep 0 comes from init, which initialize(cfg) trains when none is
+    given; an init must have been trained under cfg up to its method, else
+    ValueError. The run stores its own mode's probe scores from the init's
+    probes and delta. When param_trace is a list, a copy of the parameters
+    is appended after every timestep (used by trajectory-equality tests).
+    Training runs on one BLAS thread; the caller's thread count is restored
+    on return.
     """
+    if init is None:
+        init = initialize(cfg)
+    elif replace(init.cfg, method=cfg.method) != cfg:
+        raise ValueError("init was trained under another config than this run, beyond its method")
     with single_blas_thread():
-        stream_cfg = replace(cfg.stream, seed=cfg.seed)
-        params = init_params(
-            stream_cfg.input_dim,
-            stream_cfg.num_classes,
-            cfg.hidden_sizes,
-            substream(cfg.seed, PURPOSE_INIT),
-        )
-        state = RunState(params=params, momentum=params.zeros_like())
-        records: list[MetricsRecord] = []
-        for t in range(stream_cfg.num_timesteps):
-            splits = make_timestep_splits(
-                stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size
-            )
-            records.append(train_timestep(state, splits, cfg))
+        state = RunState(init.params.copy(), init.momentum.copy(), delta=init.delta)
+        state.prev_scores = _stored_scores(state.params, init.probes, cfg, init.delta)
+        records = [init.record]
+        if param_trace is not None:
+            param_trace.append(init.params.copy())
+        for t in range(1, cfg.stream.num_timesteps):
+            records.append(train_timestep(state, _splits(cfg, t), cfg))
             if param_trace is not None:
                 param_trace.append(state.params.copy())
         return records

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sconelab import trainer
 from sconelab.cli import main
 from sconelab.config import (
     KEYS,
@@ -490,15 +491,38 @@ def test_cli_negative_seed_rejected_before_any_run(
     tmp_path, capsys, monkeypatch, seeds_line, flag, message
 ):
     # from the INI key and from --seeds alike, seed 0 must not train first
-    def no_run(cfg):
+    def no_run(cfg, init=None):
         raise AssertionError(f"trained {cfg.method} at seed {cfg.seed}")
 
+    monkeypatch.setattr("sconelab.cli.initialize", no_run)
     monkeypatch.setattr("sconelab.cli.run_stream", no_run)
     cfg = write_config(tmp_path, SMALL_RUN.replace("seeds = 0, 1", seeds_line))
     out = tmp_path / "o"
     assert main(["compare", "--config", cfg, "--out", str(out), *flag]) == 1
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_cli_grid_trains_timestep_zero_once_per_seed(tmp_path, monkeypatch):
+    # every method of a seed starts from that seed's one initialization
+    inits, starts = [], []
+
+    def initialize(cfg):
+        inits.append(trainer.initialize(cfg))
+        return inits[-1]
+
+    def run_stream(cfg, init=None):
+        starts.append((cfg.method, cfg.seed, inits.index(init)))
+        return trainer.run_stream(cfg, init=init)
+
+    monkeypatch.setattr("sconelab.cli.initialize", initialize)
+    monkeypatch.setattr("sconelab.cli.run_stream", run_stream)
+    cfg = write_config(tmp_path, SMALL_RUN.replace("seeds = 0, 1", "seeds = 2, 0, 1"))
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert [init.cfg.seed for init in inits] == [2, 0, 1]
+    assert starts == [
+        (m, s, i) for i, s in enumerate((2, 0, 1)) for m in ("scone", "temp_scone_atc")
+    ]
 
 
 def test_cli_run_method_reruns_from_config_echo(tmp_path):
@@ -542,6 +566,7 @@ out = sys.argv[3]
 assert sconelab.cli.main(["compare", "--config", sys.argv[2], "--seeds", "0", "--out", out]) == 0
 assert sconelab.cli.main(["verify-theory", "--out", out]) == 0
 print(loaded + [scipy_modules()])
+print("numpy.ma" in sys.modules)
 """
 
 
@@ -549,7 +574,8 @@ print(loaded + [scipy_modules()])
 def test_cli_runs_without_scipy(tmp_path, mode):
     # numpy is the only runtime dependency: with scipy blocked, importing the
     # CLI, a 2-timestep compare and verify-theory all succeed; unblocked,
-    # none of them loads a scipy module
+    # none of them loads a scipy module. Neither loads numpy.ma, whose import
+    # np.unique triggers on first call
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     cfg = write_config(tmp_path, SMALL_RUN)
@@ -561,5 +587,5 @@ def test_cli_runs_without_scipy(tmp_path, mode):
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[[], []]"
+    assert result.stdout.strip().splitlines()[-2:] == ["[[], []]", "False"]
     assert (out / "metrics.csv").is_file() and (out / "theory_checks.csv").is_file()

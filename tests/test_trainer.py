@@ -14,6 +14,7 @@ from sconelab.trainer import (
     RunConfig,
     RunState,
     _minibatch_loss_grads,
+    initialize,
     mix_batches,
     run_stream,
     train_timestep,
@@ -238,6 +239,18 @@ def test_run_stream_single_timestep_is_ce_only():
     loss = records[0].loss
     assert loss.l_out == 0.0 and loss.alm_in == 0.0 and loss.l_temp == 0.0
     assert loss.total == loss.ce
+
+
+@pytest.mark.parametrize("change", [dict(seed=1), dict(hidden_sizes=(16, 8))])
+def test_run_stream_rejects_initialization_of_another_config(change):
+    init = initialize(small_cfg(method="scone"))
+    with pytest.raises(ValueError, match="another config"):
+        run_stream(small_cfg(**change), init=init)
+
+
+def test_run_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="negative seed -1"):
+        small_cfg(seed=-1)
 
 
 def test_run_stream_deterministic():

@@ -14,6 +14,7 @@ the code.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from sconelab.losses import Hyperparams
 from sconelab.model import OptimizerConfig
 from sconelab.scores import ScoreKind
 from sconelab.stream import REGIME_DISTINCT, REGIME_DYNAMIC, StreamConfig
-from sconelab.trainer import RunConfig, run_stream
+from sconelab.trainer import METHODS, RunConfig, initialize, run_stream
 
 
 def golden_cfg(name):
@@ -168,3 +169,18 @@ def test_run_stream_trajectory_golden(name):
     # repr compares the floats bit for bit
     assert repr([r.to_row() for r in records]) == repr(rows)
     assert trace_digest(trace) == digest
+
+
+@pytest.mark.parametrize("golden", ["temp_scone_atc", "distinct"])
+@pytest.mark.parametrize("i", range(len(METHODS)))
+def test_run_stream_from_another_methods_initialization(golden, i):
+    # timestep 0 reads no method field: a run started from another method's
+    # initialization is bit for bit the run that trains its own
+    base = golden_cfg(golden)
+    cfg = replace(base, method=METHODS[i])
+    init = initialize(replace(base, method=METHODS[(i + 1) % len(METHODS)]))
+    shared_trace, own_trace = [], []
+    shared = run_stream(cfg, param_trace=shared_trace, init=init)
+    own = run_stream(cfg, param_trace=own_trace)
+    assert repr([r.to_row() for r in shared]) == repr([r.to_row() for r in own])
+    assert trace_digest(shared_trace) == trace_digest(own_trace)
