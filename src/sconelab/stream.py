@@ -8,9 +8,10 @@ semantic outlier domain (K held-out blobs on a radius-8 circle). The
 ramps the corruption level; the "distinct" regime redraws the geometry
 independently per timestep.
 
-Wild batches are per-sample i.i.d. mixtures of the three sources. Each
-row carries a provenance tag and no label; training code receives the
-label-free feature arrays of each source.
+Wild batches are per-sample i.i.d. mixtures of the three sources, handed
+to training as one unlabeled pool whose rows are grouped by source; the
+trainer permutes it every epoch. Every draw is deterministic in the run's
+seed, which RunConfig passes in, and in the timestep.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ class StreamConfig:
     drift_angle_per_step: float = 0.1
     samples_per_split: int = 2048
     class_cov_scale: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_timesteps < 1:
@@ -150,19 +150,11 @@ class DomainSnapshot:
 
 @dataclass
 class WildBatch:
-    """Provenance-tagged, unlabeled mixture sample; training code consumes
-    source_features()."""
+    """Unlabeled mixture sample whose rows are grouped by source, so
+    provenance is non-decreasing; training reads features only."""
 
     features: np.ndarray
     provenance: np.ndarray  # int tags PROV_ID / PROV_COV / PROV_SEM
-
-    def source_features(self):
-        """Label-free per-source feature arrays (id, cov, sem)."""
-        return (
-            self.features[self.provenance == PROV_ID],
-            self.features[self.provenance == PROV_COV],
-            self.features[self.provenance == PROV_SEM],
-        )
 
 
 def _circle_means(k: int, radius: float, phase: float, dim: int) -> np.ndarray:
@@ -173,8 +165,8 @@ def _circle_means(k: int, radius: float, phase: float, dim: int) -> np.ndarray:
     return means
 
 
-def make_snapshot(cfg: StreamConfig, t: int) -> DomainSnapshot:
-    """Domain geometry at timestep t, deterministic in (cfg.seed, t)."""
+def make_snapshot(cfg: StreamConfig, seed: int, t: int) -> DomainSnapshot:
+    """Domain geometry at timestep t, deterministic in (seed, t)."""
     if not 0 <= t < cfg.num_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {cfg.num_timesteps})")
     k, d = cfg.num_classes, cfg.input_dim
@@ -187,7 +179,7 @@ def make_snapshot(cfg: StreamConfig, t: int) -> DomainSnapshot:
         return snap
     # The initialization timestep shares the first wild domain (the stream's
     # first real domain is also the init data); fresh domains start at t=2.
-    rng = substream(cfg.seed, PURPOSE_SNAPSHOT, max(t, 1))
+    rng = substream(seed, PURPOSE_SNAPSHOT, max(t, 1))
     for _ in range(_SEPARATION_RETRIES):
         id_means = _circle_means(k, ID_RADIUS, rng.uniform(0.0, 2.0 * np.pi), d)
         sem_means = _circle_means(k, SEM_RADIUS, rng.uniform(0.0, 2.0 * np.pi), d)
@@ -195,19 +187,19 @@ def make_snapshot(cfg: StreamConfig, t: int) -> DomainSnapshot:
         if snap.min_separation() >= 3.0 * cfg.class_cov_scale:
             return snap
     snap.validate()  # raises with the last draw's separation
-    return snap
+
+
+def _blobs(means: np.ndarray, idx: np.ndarray, scale: float, rng: np.random.Generator):
+    """One isotropic Gaussian draw around means[i] for each i in idx."""
+    return means[idx] + scale * rng.standard_normal((len(idx), means.shape[1]))
 
 
 def sample_labeled(snap: DomainSnapshot, n: int, rng: np.random.Generator):
     """Balanced labeled draws around the ID class means."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    k = snap.id_class_means.shape[0]
-    labels = np.arange(n) % k
-    features = snap.id_class_means[labels] + snap.class_cov_scale * rng.standard_normal(
-        (n, snap.id_class_means.shape[1])
-    )
-    return features, labels
+    labels = np.arange(n) % snap.id_class_means.shape[0]
+    return _blobs(snap.id_class_means, labels, snap.class_cov_scale, rng), labels
 
 
 def corrupt(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -223,35 +215,24 @@ def corrupt(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
 def sample_wild(
     snap: DomainSnapshot, m: int, pi_cov: float, pi_sem: float, rng: np.random.Generator
 ) -> WildBatch:
-    """Per-sample i.i.d. mixture of ID, covariate-shifted and semantic draws."""
+    """Per-sample i.i.d. mixture of ID, covariate-shifted and semantic draws,
+    its rows grouped by source in that order."""
     if pi_cov < 0 or pi_sem < 0 or pi_cov + pi_sem >= 1.0:
         raise ValueError(f"invalid mixture weights pi_cov={pi_cov}, pi_sem={pi_sem}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    k, d = snap.id_class_means.shape
-    k_sem = snap.sem_class_means.shape[0]
     tags = rng.choice(3, size=m, p=(1.0 - pi_cov - pi_sem, pi_cov, pi_sem))
-    features = np.zeros((m, d))
-
-    for tag in (PROV_ID, PROV_COV, PROV_SEM):
-        mask = tags == tag
-        count = int(mask.sum())
+    counts = np.bincount(tags, minlength=3)
+    draws = []
+    for tag, count in zip((PROV_ID, PROV_COV, PROV_SEM), counts):
         if count == 0:
             continue
-        if tag == PROV_SEM:
-            idx = rng.integers(0, k_sem, size=count)
-            features[mask] = snap.sem_class_means[idx] + snap.class_cov_scale * rng.standard_normal(
-                (count, d)
-            )
-        else:
-            lab = rng.integers(0, k, size=count)
-            draw = snap.id_class_means[lab] + snap.class_cov_scale * rng.standard_normal(
-                (count, d)
-            )
-            if tag == PROV_COV:
-                draw = corrupt(draw, snap.corruption_sigma, rng)
-            features[mask] = draw
-    return WildBatch(features, tags)
+        means = snap.sem_class_means if tag == PROV_SEM else snap.id_class_means
+        draw = _blobs(means, rng.integers(0, len(means), size=count), snap.class_cov_scale, rng)
+        if tag == PROV_COV:
+            draw = corrupt(draw, snap.corruption_sigma, rng)
+        draws.append(draw)
+    return WildBatch(np.concatenate(draws), np.repeat([PROV_ID, PROV_COV, PROV_SEM], counts))
 
 
 @dataclass
@@ -275,30 +256,28 @@ class TimestepSplits:
 
 
 def make_timestep_splits(
-    cfg: StreamConfig, t: int, probe_size: int, val_size: int, test_size: int
+    cfg: StreamConfig, seed: int, t: int, probe_size: int, val_size: int, test_size: int
 ) -> TimestepSplits:
-    """Generate every split of timestep t from independent substreams."""
-    snap = make_snapshot(cfg, t)
+    """Generate every split of timestep t from independent substreams of seed."""
+    snap = make_snapshot(cfg, seed, t)
     n = cfg.samples_per_split
     pi_cov = cfg.pi_cov_schedule[t]
     pi_sem = cfg.pi_sem_schedule[t]
 
-    train_x, train_y = sample_labeled(snap, n, substream(cfg.seed, PURPOSE_TRAIN, t))
-    wild = sample_wild(snap, n, pi_cov, pi_sem, substream(cfg.seed, PURPOSE_WILD, t))
-    probe_in, _ = sample_labeled(snap, probe_size, substream(cfg.seed, PURPOSE_PROBE_IN, t))
-    rng_probe_cov = substream(cfg.seed, PURPOSE_PROBE_COV, t)
+    train_x, train_y = sample_labeled(snap, n, substream(seed, PURPOSE_TRAIN, t))
+    wild = sample_wild(snap, n, pi_cov, pi_sem, substream(seed, PURPOSE_WILD, t))
+    probe_in, _ = sample_labeled(snap, probe_size, substream(seed, PURPOSE_PROBE_IN, t))
+    rng_probe_cov = substream(seed, PURPOSE_PROBE_COV, t)
     probe_cov_base, _ = sample_labeled(snap, probe_size, rng_probe_cov)
     probe_cov = corrupt(probe_cov_base, snap.corruption_sigma, rng_probe_cov)
-    val_x, val_y = sample_labeled(snap, val_size, substream(cfg.seed, PURPOSE_VAL, t))
-    test_id_x, test_id_y = sample_labeled(snap, test_size, substream(cfg.seed, PURPOSE_TEST_ID, t))
+    val_x, val_y = sample_labeled(snap, val_size, substream(seed, PURPOSE_VAL, t))
+    test_id_x, test_id_y = sample_labeled(snap, test_size, substream(seed, PURPOSE_TEST_ID, t))
     test_cov_x = corrupt(
-        test_id_x, snap.corruption_sigma, substream(cfg.seed, PURPOSE_TEST_COV, t)
+        test_id_x, snap.corruption_sigma, substream(seed, PURPOSE_TEST_COV, t)
     )
-    rng_sem = substream(cfg.seed, PURPOSE_TEST_SEM, t)
+    rng_sem = substream(seed, PURPOSE_TEST_SEM, t)
     sem_idx = rng_sem.integers(0, snap.sem_class_means.shape[0], size=test_size)
-    test_sem_x = snap.sem_class_means[sem_idx] + snap.class_cov_scale * rng_sem.standard_normal(
-        (test_size, cfg.input_dim)
-    )
+    test_sem_x = _blobs(snap.sem_class_means, sem_idx, snap.class_cov_scale, rng_sem)
 
     return TimestepSplits(
         t=t,

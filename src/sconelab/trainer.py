@@ -132,8 +132,8 @@ class RunState:
     """What one timestep hands to the next, updated in place by train_timestep.
 
     prev_scores holds the (ID, covariate) probe scores of the last finished
-    timestep and delta the ATC threshold; both stay None until timestep 0
-    has stored them.
+    timestep and delta the ATC threshold. Timestep 0 fits delta only;
+    run_stream stores its own mode's scores from Initialization.probes.
     """
 
     params: ModelParams
@@ -161,13 +161,6 @@ class Initialization:
     delta: float
     record: MetricsRecord
     probes: tuple[np.ndarray, np.ndarray]
-
-
-def mix_batches(id_batch, cov_batch, sem_batch, rng: np.random.Generator) -> np.ndarray:
-    """Concatenate per-source feature batches and apply a seeded permutation."""
-    parts = [np.asarray(b, dtype=float) for b in (id_batch, cov_batch, sem_batch)]
-    pool = np.concatenate(parts, axis=0)
-    return pool[rng.permutation(pool.shape[0])]
 
 
 def _accumulate(target: ModelParams, other: ModelParams):
@@ -281,11 +274,11 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     """One timestep of training; updates state in place and returns the record.
 
     Timestep 0 is initialization: cross-entropy only, with no wild batches,
-    temporal term or dual ascent, and delta is fit on its validation split
-    before the probe scores are stored. Later timesteps train the full
-    objective and refit delta after the record when cfg.refit_delta is set,
-    so the record uses the delta from before the refit. Probe scores stored
-    for the next timestep are computed with the final parameters.
+    temporal term or dual ascent; delta is fit on its validation split and
+    no probe scores are stored. Later timesteps train the full objective,
+    store the final parameters' probe scores for the next timestep, and
+    refit delta after the record when cfg.refit_delta is set, so both the
+    scores and the record use the delta from before the refit.
     """
     hp = cfg.effective_hyper()
     optimizer = cfg.optimizer
@@ -299,7 +292,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     total_steps = max(1, cfg.epochs_per_timestep * steps_per_epoch)
 
     wild = splits.t > 0
-    sources = splits.wild.source_features() if wild else None
+    n_wild = splits.wild.features.shape[0]
     rng = substream(cfg.seed, PURPOSE_EPOCH, splits.t)
     kind = cfg.score_kind
     last_epoch_parts: list[LossBreakdown] = []
@@ -319,8 +312,8 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
 
         perm = rng.permutation(n)
         if wild:
-            wild_pool = mix_batches(*sources, rng=rng)
-            wild_batch = max(1, wild_pool.shape[0] // steps_per_epoch)
+            wild_pool = splits.wild.features[rng.permutation(n_wild)]
+            wild_batch = max(1, n_wild // steps_per_epoch)
         epoch_parts = []
         for b in range(steps_per_epoch):
             rows = perm[b * batch : (b + 1) * batch]
@@ -347,10 +340,11 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             state.lambda_in_mult = update_multipliers(state.lambda_in_mult, l_in_full, hp)
 
     state.params, state.momentum = params, momentum
-    if not wild:
+    if wild:
+        probes = (splits.probe_in, splits.probe_cov)
+        state.prev_scores = _stored_scores(params, probes, cfg, state.delta)
+    else:
         state.delta = _fit_delta(params, splits, kind)
-    probes = (splits.probe_in, splits.probe_cov)
-    state.prev_scores = _stored_scores(params, probes, cfg, state.delta)
     record = evaluate_timestep(
         params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
     )
@@ -360,8 +354,9 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
 
 
 def _splits(cfg: RunConfig, t: int) -> TimestepSplits:
-    stream_cfg = replace(cfg.stream, seed=cfg.seed)
-    return make_timestep_splits(stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size)
+    return make_timestep_splits(
+        cfg.stream, cfg.seed, t, cfg.probe_size, cfg.val_size, cfg.test_size
+    )
 
 
 def initialize(cfg: RunConfig) -> Initialization:

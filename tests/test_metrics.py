@@ -164,9 +164,12 @@ def test_accuracy_matches_scalar_loop_oracle():
     assert accuracy(logits, labels) == hits / 64
 
 
+SEED = 11
+
+
 def _splits(t=1, test_size=120):
-    cfg = StreamConfig(num_timesteps=3, num_classes=4, input_dim=5, seed=11, samples_per_split=256)
-    return cfg, make_timestep_splits(cfg, t, probe_size=64, val_size=64, test_size=test_size)
+    cfg = StreamConfig(num_timesteps=3, num_classes=4, input_dim=5, samples_per_split=256)
+    return cfg, make_timestep_splits(cfg, SEED, t, probe_size=64, val_size=64, test_size=test_size)
 
 
 def _zero_loss():
@@ -189,7 +192,7 @@ def test_evaluate_semantic_equals_id_gives_target_complement_fpr():
     cfg, splits = _splits(test_size=2000)
     params = init_params(5, 4, hidden_sizes=(8,), rng=np.random.default_rng(1))
     # make the semantic test set a fresh draw from the ID distribution
-    splits.test_sem_x, _ = sample_labeled(make_snapshot(cfg, splits.t), 2000, substream(123, 77))
+    splits.test_sem_x, _ = sample_labeled(make_snapshot(cfg, SEED, splits.t), 2000, substream(123, 77))
     record = evaluate_timestep(
         params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
     )

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,13 +7,12 @@ from sconelab.losses import Hyperparams, loss_in_grad, update_multipliers
 from sconelab.metrics import evaluate_timestep
 from sconelab.model import OptimizerConfig, energy, forward, init_params
 from sconelab.scores import ScoreKind
-from sconelab.stream import StreamConfig, make_timestep_splits, substream
+from sconelab.stream import StreamConfig, substream
 from sconelab.trainer import (
     RunConfig,
     RunState,
     _minibatch_loss_grads,
     initialize,
-    mix_batches,
     run_stream,
     train_timestep,
 )
@@ -50,33 +47,10 @@ def params_equal(a, b):
     return same and a.g_weight == b.g_weight and a.g_bias == b.g_bias
 
 
-def test_mix_batches_degenerate_is_permutation():
-    rng = substream(0, 50)
-    ids = np.arange(12.0).reshape(6, 2)
-    empty = np.zeros((0, 2))
-    out = mix_batches(ids, empty, empty, rng)
-    assert out.shape == ids.shape
-    assert np.array_equal(np.sort(out, axis=0), np.sort(ids, axis=0))
-
-
-def test_mix_batches_partition_and_multiset():
-    rng = substream(1, 50)
-    a = np.arange(10.0).reshape(5, 2)
-    b = 100.0 + np.arange(6.0).reshape(3, 2)
-    c = 200.0 + np.arange(4.0).reshape(2, 2)
-    out = mix_batches(a, b, c, rng)
-    assert out.shape[0] == 5 + 3 + 2
-    # multiset-equality oracle: lexicographic row sort on both sides
-    combined = np.concatenate([a, b, c])
-    key = lambda arr: arr[np.lexsort(arr.T[::-1])]
-    assert np.array_equal(key(out), key(combined))
-
-
 def _fresh_setup(cfg, t=1):
-    stream_cfg = replace(cfg.stream, seed=cfg.seed)
-    splits = make_timestep_splits(stream_cfg, t, cfg.probe_size, cfg.val_size, cfg.test_size)
+    splits = trainer_mod._splits(cfg, t)
     params = init_params(
-        stream_cfg.input_dim, stream_cfg.num_classes, cfg.hidden_sizes, substream(cfg.seed, 1)
+        cfg.stream.input_dim, cfg.stream.num_classes, cfg.hidden_sizes, substream(cfg.seed, 1)
     )
     return splits, params
 
@@ -181,15 +155,19 @@ def test_run_state_hand_off():
     splits_0, params = _fresh_setup(cfg, t=0)
     state = RunState(params, params.zeros_like())
     train_timestep(state, splits_0, cfg)
-    # t = 0 fits delta on its final params, stores their probe scores and
+    # t = 0 fits delta on its final params, stores no probe scores and
     # leaves the multiplier alone
     delta_0 = trainer_mod._fit_delta(state.params, splits_0, kind)
     assert state.delta == delta_0
+    assert state.prev_scores is None
+    assert state.lambda_in_mult == 0.0
+    # run_stream stores the t = 0 probe scores of its own mode
+    probes_0 = (splits_0.probe_in, splits_0.probe_cov)
+    state.prev_scores = trainer_mod._stored_scores(state.params, probes_0, cfg, state.delta)
     assert state.prev_scores == tuple(
         trainer_mod._probe_score(state.params, probe, cfg.mode, kind, delta_0, hp.omega)[0]
-        for probe in (splits_0.probe_in, splits_0.probe_cov)
+        for probe in probes_0
     )
-    assert state.lambda_in_mult == 0.0
 
     splits_1, _ = _fresh_setup(cfg, t=1)
     record = train_timestep(state, splits_1, cfg)
@@ -241,6 +219,23 @@ def test_run_stream_single_timestep_is_ce_only():
     assert loss.total == loss.ce
 
 
+def test_initialize_stores_no_probe_scores(monkeypatch):
+    """Timestep 0 scores no probe: each run_stream stores its own mode's."""
+    calls = []
+    probe_score = trainer_mod._probe_score
+
+    def spy(*args):
+        calls.append(args)
+        return probe_score(*args)
+
+    monkeypatch.setattr(trainer_mod, "_probe_score", spy)
+    init = initialize(small_cfg())
+    assert calls == []
+    # the spy sees the calls run_stream makes from the init
+    trainer_mod._stored_scores(init.params, init.probes, init.cfg, init.delta)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("change", [dict(seed=1), dict(hidden_sizes=(16, 8))])
 def test_run_stream_rejects_initialization_of_another_config(change):
     init = initialize(small_cfg(method="scone"))
@@ -268,9 +263,9 @@ def test_distinct_regime_scales_learning_rate_after_init(monkeypatch):
     seen = {}  # timestep -> base_lr of every optimizer sgd_step received
     make_splits, step = trainer_mod.make_timestep_splits, trainer_mod.sgd_step
 
-    def splits_spy(stream_cfg, t, *args):
+    def splits_spy(stream_cfg, seed, t, *args):
         seen[t] = set()
-        return make_splits(stream_cfg, t, *args)
+        return make_splits(stream_cfg, seed, t, *args)
 
     def step_spy(*args):
         seen[max(seen)].add(args[-1].base_lr)
