@@ -146,9 +146,20 @@ def test_sample_wild_semantic_fraction_concentrates():
     assert abs(frac - pi_sem) <= 3.0 * np.sqrt(pi_sem * (1 - pi_sem) / m)
 
 
-def test_sample_wild_rows_grouped_by_source():
-    """The pool is label-free features whose rows come grouped by source,
-    ID then covariate then semantic, as many of each as the tag draw made."""
+def test_sample_wild_counts_partition():
+    """The pool's rows come grouped by source, ID then covariate then
+    semantic, as many of each as the tag draw made."""
+    snap = make_snapshot(cfg(), 0, 0)
+    batch = sample_wild(snap, 777, 0.25, 0.15, substream(0, 91))
+    assert (np.diff(batch.provenance) >= 0).all()
+    tags = substream(0, 91).choice(3, size=777, p=(1.0 - 0.25 - 0.15, 0.25, 0.15))
+    counts = np.bincount(batch.provenance, minlength=3)
+    assert counts.sum() == 777 and counts.min() > 0
+    assert np.array_equal(counts, np.bincount(tags, minlength=3))
+
+
+def test_source_features_are_label_free_views():
+    """The pool is features only, and each row sits in the block of its source."""
     # with no spread and no corruption every row sits on a mean of its source
     snap = DomainSnapshot(
         t=0,
@@ -157,14 +168,10 @@ def test_sample_wild_rows_grouped_by_source():
         class_cov_scale=0.0,
         corruption_sigma=0.0,
     )
-    batch = sample_wild(snap, 777, 0.25, 0.15, substream(0, 91))
-    assert batch.features.shape == (777, 4)  # features only
-    assert (np.diff(batch.provenance) >= 0).all()
-    tags = substream(0, 91).choice(3, size=777, p=(1.0 - 0.25 - 0.15, 0.25, 0.15))
-    counts = np.bincount(batch.provenance, minlength=3)
-    assert np.array_equal(counts, np.bincount(tags, minlength=3)) and counts.min() > 0
+    batch = sample_wild(snap, 300, 0.3, 0.2, substream(0, 88))
+    assert batch.features.shape == (300, 4)  # features only
     is_sem = (batch.features == 50.0).all(axis=1)
-    assert np.array_equal(is_sem, batch.provenance == PROV_SEM)
+    assert is_sem.any() and np.array_equal(is_sem, batch.provenance == PROV_SEM)
     id_rows = {row.tobytes() for row in snap.id_class_means}
     assert all(row.tobytes() in id_rows for row in batch.features[~is_sem])
 
