@@ -1,11 +1,12 @@
 """Small tanh MLP with hand-written forward/backward passes.
 
 Logits are plain [n, K] float64 arrays. Parameter-shaped quantities
-(gradients, momentum buffers) reuse the ModelParams container.
-ModelParams.flatten/unflatten fix one flat layout (weights, biases,
-g_weight, g_bias); sgd_step gathers parameters, gradients and momentum
-into that layout and updates them with a few whole-vector operations, and
-the finite-difference checks perturb the same vector.
+(gradients, momentum buffers) reuse the ModelParams container, which holds
+everything in one float64 vector laid out as every weight, every bias,
+g_weight, g_bias; its layer arrays are views into it. backward_from_logits
+writes into the views of a zeroed vector, gradient sums and sgd_step's
+update are whole-vector operations in place, and the finite-difference
+checks perturb the same vector.
 
 The no-grad forward pass runs in blocks of FORWARD_BLOCK_ROWS rows, so its
 temporaries stay small on full-split passes. Rows do not interact and no
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,14 +128,44 @@ class OptimizerConfig:
             raise ValueError(f"milestones must be strictly increasing in (0, 1), got {ms}")
 
 
-@dataclass
-class ModelParams:
-    """All learnable state: MLP layers plus the affine detector head."""
+def _vec_entry(index: int) -> property:
+    """A float attribute of ModelParams read from and written to vec[index]."""
+    return property(lambda p: float(p.vec[index]), lambda p, value: p.vec.__setitem__(index, value))
 
-    layer_weights: list[np.ndarray]
-    layer_biases: list[np.ndarray]
-    g_weight: float = 1.0
-    g_bias: float = 0.0
+
+class ModelParams:
+    """All learnable state: MLP layers plus the affine detector head.
+
+    Everything lives in one float64 vector `vec`: every weight matrix, every
+    bias, then g_weight and g_bias. layer_weights and layer_biases are
+    tuples of views into vec, so writing into an array writes vec, and
+    g_weight and g_bias read and write vec[-2] and vec[-1]. The layout is
+    computed once by the constructor; copy and zeros_like share it.
+    """
+
+    __slots__ = ("vec", "layer_weights", "layer_biases", "_layout")
+
+    def __init__(self, layer_weights, layer_biases, g_weight: float = 1.0, g_bias: float = 0.0):
+        arrays = [np.asarray(a, dtype=float) for a in (*layer_weights, *layer_biases)]
+        layout, i = [], 0
+        for a in arrays:
+            layout.append((slice(i, i + a.size), a.shape))
+            i += a.size
+        vec = np.concatenate([*(a.ravel() for a in arrays), [g_weight, g_bias]])
+        self._bind(vec, tuple(layout), len(layer_weights))
+
+    def _bind(self, vec: np.ndarray, layout, num_layers: int) -> "ModelParams":
+        views = tuple(vec[s].reshape(shape) for s, shape in layout)
+        self.vec, self._layout = vec, layout
+        self.layer_weights, self.layer_biases = views[:num_layers], views[num_layers:]
+        return self
+
+    def _wrap(self, vec: np.ndarray) -> "ModelParams":
+        """A ModelParams over vec, which has this one's layout."""
+        return ModelParams.__new__(ModelParams)._bind(vec, self._layout, len(self.layer_weights))
+
+    g_weight = _vec_entry(-2)
+    g_bias = _vec_entry(-1)
 
     @property
     def input_dim(self) -> int:
@@ -145,39 +176,10 @@ class ModelParams:
         return self.layer_weights[-1].shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            [w.copy() for w in self.layer_weights],
-            [b.copy() for b in self.layer_biases],
-            self.g_weight,
-            self.g_bias,
-        )
+        return self._wrap(self.vec.copy())
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            [np.zeros_like(w) for w in self.layer_weights],
-            [np.zeros_like(b) for b in self.layer_biases],
-            0.0,
-            0.0,
-        )
-
-    def flatten(self) -> np.ndarray:
-        """One float64 vector: every weight, every bias, g_weight, g_bias."""
-        return np.concatenate(
-            [
-                *(w.ravel() for w in self.layer_weights),
-                *(b.ravel() for b in self.layer_biases),
-                [self.g_weight, self.g_bias],
-            ]
-        )
-
-    def unflatten(self, vec: np.ndarray) -> "ModelParams":
-        """Inverse of flatten with this object's shapes; arrays are views of vec."""
-        arrays, i = [], 0
-        for a in (*self.layer_weights, *self.layer_biases):
-            arrays.append(vec[i : i + a.size].reshape(a.shape))
-            i += a.size
-        n = len(self.layer_weights)
-        return ModelParams(arrays[:n], arrays[n:], float(vec[i]), float(vec[i + 1]))
+        return self._wrap(np.zeros(self.vec.size))
 
     def named_arrays(self):
         """Yield (name, array) for every tensor; scalars excluded."""
@@ -266,22 +268,22 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a [n, K] logits gradient into a parameter gradient.
 
-    The detector-head entries of the result are zero; head gradients are
-    accumulated separately by the energy losses.
+    Each layer's gradient is written into the views of one zeroed vector,
+    params.zeros_like(). The detector-head entries of the result are zero;
+    head gradients are accumulated separately by the energy losses.
     """
-    num_layers = len(params.layer_weights)
-    grad_w, grad_b = [None] * num_layers, [None] * num_layers
+    grads = params.zeros_like()
     delta = np.asarray(dlogits, dtype=float)
-    for layer in reversed(range(num_layers)):
-        grad_w[layer] = activations[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+    for layer in reversed(range(len(params.layer_weights))):
+        np.matmul(activations[layer].T, delta, out=grads.layer_weights[layer])
+        delta.sum(axis=0, out=grads.layer_biases[layer])
         if layer > 0:
             # tanh'(a) = 1 - tanh(a)^2, and activations[layer] stores tanh(a)
             slope = np.square(activations[layer])
             np.subtract(1.0, slope, out=slope)
             delta = delta @ params.layer_weights[layer].T
             delta *= slope
-    return ModelParams(grad_w, grad_b, 0.0, 0.0)
+    return grads
 
 
 def sigmoid(x):
@@ -366,28 +368,28 @@ def sgd_step(
     step_index: int,
     total_steps: int,
     cfg: OptimizerConfig,
-):
-    """One Nesterov-momentum step; returns (new_params, new_momentum).
+) -> None:
+    """One Nesterov-momentum step, in place on params.vec and momentum.vec.
 
     Weight decay is added to the gradient of the MLP weight matrices only
     (not biases, not the detector head). Buffers follow the common
-    buf = mu*buf + g; step = g + mu*buf convention. The update runs on the
-    flat layout of ModelParams.flatten; the returned arrays are views of
-    two fresh vectors.
+    buf = mu*buf + g; step = g + mu*buf convention. grads is not written.
+    A non-finite gradient raises ValueError before anything is written. A
+    non-finite result raises FloatingPointError after the update, so params
+    and momentum then hold the failed step (the CLI exits 1 on it).
     """
     if step_index >= total_steps:
         raise ValueError(f"step_index {step_index} out of range for {total_steps} steps")
-    g = grads.flatten()
-    if not np.isfinite(g).all():
+    if not np.isfinite(grads.vec).all():
         bad = [name for name, a in grads.named_arrays() if not np.isfinite(a).all()]
         raise ValueError(f"non-finite gradient in {(bad or ['detector head'])[0]}")
 
     lr = learning_rate(step_index, total_steps, cfg)
     mu = cfg.momentum
-    theta = params.flatten()
+    theta, buf = params.vec, momentum.vec
     num_weights = sum(w.size for w in params.layer_weights)
+    g = grads.vec.copy()
     g[:num_weights] += cfg.weight_decay * theta[:num_weights]
-    buf = momentum.flatten()
     buf *= mu
     buf += g
     step = mu * buf
@@ -397,4 +399,3 @@ def sgd_step(
     theta -= step
     if not np.isfinite(theta).all():
         raise FloatingPointError("non-finite parameter after update step")
-    return params.unflatten(theta), params.unflatten(buf)

@@ -163,14 +163,6 @@ class Initialization:
     probes: tuple[np.ndarray, np.ndarray]
 
 
-def _accumulate(target: ModelParams, other: ModelParams):
-    for i in range(len(target.layer_weights)):
-        target.layer_weights[i] += other.layer_weights[i]
-        target.layer_biases[i] += other.layer_biases[i]
-    target.g_weight += other.g_weight
-    target.g_bias += other.g_bias
-
-
 def _probe_score(params, probe, mode, kind, delta, omega):
     """The mode's score of one probe batch: (score, dscore/dlogits, activations).
 
@@ -206,7 +198,7 @@ def _epoch_temporal_term(params, splits, prev_scores, hp, mode, kind, delta):
     if not parts:
         return l_temp, w_temp, d_id, d_cov, None
     for other in parts[1:]:
-        _accumulate(parts[0], other)
+        parts[0].vec += other.vec
     return l_temp, w_temp, d_id, d_cov, parts[0]
 
 
@@ -237,7 +229,7 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     l_out_v, dlout_de, dlout_dgw, dlout_dgb = loss_out_grad(e_w, params, hp.eta)
     dz_w = np.exp(logp_w, out=logp_w)
     dz_w *= (-(hp.lambda_out * dlout_de))[:, None]
-    _accumulate(grads, backward_from_logits(params, acts_w, dz_w))
+    grads.vec += backward_from_logits(params, acts_w, dz_w).vec
     grads.g_weight += hp.lambda_out * dlout_dgw
     grads.g_bias += hp.lambda_out * dlout_dgb
     return ce, l_in_v, l_out_v, alm_v, grads
@@ -284,7 +276,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     optimizer = cfg.optimizer
     if cfg.stream.regime == REGIME_DISTINCT and splits.t >= 2:
         optimizer = replace(optimizer, base_lr=optimizer.base_lr * DISTINCT_LR_BOOST)
-    params, momentum = state.params, state.momentum
+    params = state.params
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
     batch = min(optimizer.batch_size, n)
@@ -308,7 +300,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             temporal_active = l_temp != 0.0
             if temporal_active:
                 # the per-minibatch share, the same scaled vector at every step
-                g_temp_step = g_temp.unflatten(g_temp.flatten() * (1.0 / steps_per_epoch))
+                g_temp_step = g_temp.vec * (1.0 / steps_per_epoch)
 
         perm = rng.permutation(n)
         if wild:
@@ -323,15 +315,15 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
                     params, x[rows], y[rows], wb, state.lambda_in_mult, hp
                 )
                 if temporal_active:
-                    _accumulate(grads, g_temp_step)
+                    grads.vec += g_temp_step
             else:
                 ce, grads = _ce_loss_grads(params, x[rows], y[rows])
                 l_in_v = l_out_v = alm_v = 0.0
             epoch_parts.append(
                 total_loss(ce, l_out_v, alm_v, l_temp, hp, l_in_value=l_in_v, w_temp=w_temp)
             )
-            params, momentum = sgd_step(
-                params, grads, momentum, epoch * steps_per_epoch + b, total_steps, optimizer
+            sgd_step(
+                params, grads, state.momentum, epoch * steps_per_epoch + b, total_steps, optimizer
             )
         last_epoch_parts = epoch_parts
 
@@ -339,7 +331,6 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             l_in_full = loss_in_grad(energy(forward(params, x)), params, hp.eta)[0]
             state.lambda_in_mult = update_multipliers(state.lambda_in_mult, l_in_full, hp)
 
-    state.params, state.momentum = params, momentum
     if wild:
         probes = (splits.probe_in, splits.probe_cov)
         state.prev_scores = _stored_scores(params, probes, cfg, state.delta)

@@ -6,26 +6,18 @@ import numpy as np
 from sconelab.model import ModelParams
 
 
-def flatten_params(p: ModelParams) -> np.ndarray:
-    return p.flatten()
-
-
-def unflatten_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
-    return template.unflatten(vec)
-
-
 def fd_param_grad(fn, params: ModelParams, step: float = 1e-4) -> np.ndarray:
-    """Central differences of a scalar fn(params) over every entry."""
-    theta = flatten_params(params)
+    """Central differences of a scalar fn(params) over every entry of params.vec."""
+    theta = params.vec
     grad = np.zeros_like(theta)
+    probe = params.copy()
     for i in range(theta.size):
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += step
-        dn[i] -= step
-        grad[i] = (fn(unflatten_params(params, up)) - fn(unflatten_params(params, dn))) / (
-            2.0 * step
-        )
+        probe.vec[i] = theta[i] + step
+        up = fn(probe)
+        probe.vec[i] = theta[i] - step
+        dn = fn(probe)
+        probe.vec[i] = theta[i]
+        grad[i] = (up - dn) / (2.0 * step)
     return grad
 
 

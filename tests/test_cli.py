@@ -525,6 +525,33 @@ def test_cli_grid_trains_timestep_zero_once_per_seed(tmp_path, monkeypatch):
     ]
 
 
+def test_cli_grid_leaves_initialization_unchanged(tmp_path, monkeypatch):
+    # every method of a seed trains from the same, unwritten timestep 0
+    def snapshot(init):
+        return init.params.vec.tobytes(), init.momentum.vec.tobytes()
+
+    inits, starts = [], []
+
+    def initialize(cfg):
+        init = trainer.initialize(cfg)
+        inits.append((init, snapshot(init)))
+        return init
+
+    def run_stream(cfg, init=None):
+        starts.append((cfg.method, init))
+        return trainer.run_stream(cfg, init=init)
+
+    monkeypatch.setattr("sconelab.cli.initialize", initialize)
+    monkeypatch.setattr("sconelab.cli.run_stream", run_stream)
+    methods = "methods = " + ", ".join(trainer.METHODS)
+    text = SMALL_RUN.replace("methods = scone, temp_scone_atc", methods)
+    cfg = write_config(tmp_path, text.replace("seeds = 0, 1", "seeds = 0"))
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    [(init, before)] = inits
+    assert starts == [(m, init) for m in trainer.METHODS]
+    assert snapshot(init) == before
+
+
 def test_cli_run_method_reruns_from_config_echo(tmp_path):
     # the echo names the method run, not the configured list it was picked from
     cfg = write_config(tmp_path, SMALL_RUN)

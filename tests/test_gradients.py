@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from gradcheck import fd_param_grad, flatten_params, relative_error
+from gradcheck import fd_param_grad, relative_error
 
 from sconelab.losses import (
     Hyperparams,
@@ -66,8 +66,8 @@ def random_case(seed):
         k = int(r.integers(2, 5))
         hidden = tuple(int(h) for h in r.integers(3, 6, size=int(r.integers(1, 3))))
         params = init_params(d, k, hidden_sizes=hidden, rng=r)
-        for i in range(len(params.layer_weights)):
-            params.layer_weights[i] *= 3.0
+        for w in params.layer_weights:
+            w *= 3.0
         params.g_weight = float(r.uniform(0.5, 1.5))
         params.g_bias = float(r.uniform(-0.3, 0.3))
         x = r.normal(scale=1.5, size=(6, d))
@@ -129,15 +129,9 @@ def analytic_temporal(params, x_in, x_cov, prev_scores, mode, kind, delta, hp=HP
     value, _, _, _, dl_in, dl_cov = temporal_loss_grad(prev_scores, s_in, s_cov, hp)
     grads = params.zeros_like()
     if dl_in:
-        g = backward_from_logits(params, acts_in, dl_in * dz_in)
-        for i in range(len(grads.layer_weights)):
-            grads.layer_weights[i] += g.layer_weights[i]
-            grads.layer_biases[i] += g.layer_biases[i]
+        grads.vec += backward_from_logits(params, acts_in, dl_in * dz_in).vec
     if dl_cov:
-        g = backward_from_logits(params, acts_cov, dl_cov * dz_cov)
-        for i in range(len(grads.layer_weights)):
-            grads.layer_weights[i] += g.layer_weights[i]
-            grads.layer_biases[i] += g.layer_biases[i]
+        grads.vec += backward_from_logits(params, acts_cov, dl_cov * dz_cov).vec
     return value, grads
 
 
@@ -159,24 +153,24 @@ def check_case(seed):
 
     _, grads = analytic_ce(params, x, y)
     errors["cross_entropy"] = relative_error(
-        flatten_params(grads), fd_param_grad(lambda p: cross_entropy(forward(p, x), y)[0], params, STEP)
+        grads.vec, fd_param_grad(lambda p: cross_entropy(forward(p, x), y)[0], params, STEP)
     )
 
     _, grads = analytic_energy_loss(params, x, loss_in_grad)
     errors["loss_in"] = relative_error(
-        flatten_params(grads),
+        grads.vec,
         fd_param_grad(lambda p: loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
     )
 
     _, grads = analytic_energy_loss(params, x, loss_out_grad)
     errors["loss_out"] = relative_error(
-        flatten_params(grads),
+        grads.vec,
         fd_param_grad(lambda p: loss_out_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
     )
 
     _, grads = analytic_alm(params, x)
     errors["alm_in"] = relative_error(
-        flatten_params(grads),
+        grads.vec,
         fd_param_grad(
             lambda p: alm_in(loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], MULT, HP)[0],
             params,
@@ -203,7 +197,7 @@ def temporal_errors(params, x, x_cov, delta, hp):
         value, grads = analytic_temporal(params, x, x_cov, prev_scores, mode, kind, delta, hp=hp)
         assert value > 0.0  # both hinges active by construction
         errors[label] = relative_error(
-            flatten_params(grads),
+            grads.vec,
             fd_param_grad(
                 numeric_temporal_fn(x, x_cov, prev_scores, mode, kind, delta, hp=hp), params, STEP
             ),
@@ -264,7 +258,7 @@ def test_minibatch_composite_gradient():
 
         ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(params, x, y, wild, MULT, HP)
         assert ce + HP.lambda_out * l_out_v + alm_v == pytest.approx(composite(params), abs=1e-12)
-        err = relative_error(flatten_params(grads), fd_param_grad(composite, params, STEP))
+        err = relative_error(grads.vec, fd_param_grad(composite, params, STEP))
         assert err <= TOL, f"composite relative error {err:.3e}"
 
 
@@ -287,4 +281,4 @@ def test_epoch_temporal_term_matches_finite_differences():
         params,
         STEP,
     )
-    assert relative_error(flatten_params(grad), numeric) <= TOL
+    assert relative_error(grad.vec, numeric) <= TOL

@@ -146,20 +146,22 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 def test_sgd_zero_gradient_is_fixed_point():
     params = init_params(3, 2, rng=rng(5))
+    before = params.copy()
     cfg = OptimizerConfig(weight_decay=0.0)
-    out, _ = sgd_step(params, params.zeros_like(), params.zeros_like(), 0, 10, cfg)
-    for (_, a), (_, b) in zip(out.named_arrays(), params.named_arrays()):
+    sgd_step(params, params.zeros_like(), params.zeros_like(), 0, 10, cfg)
+    for (_, a), (_, b) in zip(params.named_arrays(), before.named_arrays()):
         assert np.array_equal(a, b)
-    assert out.g_weight == params.g_weight and out.g_bias == params.g_bias
+    assert params.g_weight == before.g_weight and params.g_bias == before.g_bias
 
 
 def test_sgd_plain_gradient_descent():
     params = init_params(3, 2, rng=rng(6))
+    before = params.copy()
     grads = params.zeros_like()
-    grads.layer_weights[0] = np.ones_like(params.layer_weights[0])
+    grads.layer_weights[0][...] = 1.0
     cfg = OptimizerConfig(base_lr=0.1, momentum=0.0, weight_decay=0.0)
-    out, _ = sgd_step(params, grads, params.zeros_like(), 0, 10, cfg)
-    assert np.allclose(out.layer_weights[0], params.layer_weights[0] - 0.1, atol=1e-15)
+    sgd_step(params, grads, params.zeros_like(), 0, 10, cfg)
+    assert np.allclose(params.layer_weights[0], before.layer_weights[0] - 0.1, atol=1e-15)
 
 
 def test_learning_rate_decay_at_sixty_percent():
@@ -173,7 +175,7 @@ def test_learning_rate_decay_at_sixty_percent():
 def test_sgd_rejects_nonfinite_gradient():
     params = init_params(3, 2, rng=rng(7))
     grads = params.zeros_like()
-    grads.layer_biases[1] = np.array([np.nan, 0.0])
+    grads.layer_biases[1][0] = np.nan
     with pytest.raises(ValueError, match=r"layer_biases\[1\]"):
         sgd_step(params, grads, params.zeros_like(), 0, 1, OptimizerConfig())
 
@@ -192,7 +194,7 @@ def test_training_steps_are_deterministic():
             logits, acts = forward_cached(params, x)
             _, dz = cross_entropy(logits, y)
             grads = backward_from_logits(params, acts, dz)
-            params, momentum = sgd_step(params, grads, momentum, step, 20, cfg)
+            sgd_step(params, grads, momentum, step, 20, cfg)
         return params
 
     a, b = run(), run()
@@ -205,7 +207,7 @@ def test_init_dimensions_chain():
     shapes = [w.shape for w in params.layer_weights]
     assert shapes == [(7, 10), (10, 5), (5, 4)]
     assert params.input_dim == 7 and params.num_classes == 4
-    assert np.isfinite(params.flatten()).all()
+    assert np.isfinite(params.vec).all()
     assert params.g_weight == 1.0 and params.g_bias == 0.0
 
 
@@ -275,17 +277,36 @@ def test_shared_log_partition_matches_reference_formulas(seed, n, k, scale):
     assert bits(*cross_entropy(z, y)) == bits(*ref_cross_entropy(z, y))
 
 
-def test_flatten_round_trip_and_layout():
+def test_params_buffer_contract():
     params = init_params(3, 2, hidden_sizes=(4,), rng=rng(12))
     params.g_weight, params.g_bias = 1.5, -0.25
-    vec = params.flatten()
-    assert vec.size == 3 * 4 + 4 * 2 + 4 + 2 + 2
+    vec = params.vec
+    assert vec.dtype == np.float64 and vec.shape == (3 * 4 + 4 * 2 + 4 + 2 + 2,)
     assert bits(vec[:12]) == bits(params.layer_weights[0])
+    assert bits(vec[12:20]) == bits(params.layer_weights[1])
+    assert bits(vec[20:24]) == bits(params.layer_biases[0])
+    assert bits(vec[24:26]) == bits(params.layer_biases[1])
     assert bits(vec[-2:]) == bits([1.5, -0.25])
-    back = params.unflatten(vec)
-    assert bits(back.flatten()) == bits(vec)
-    assert [w.shape for w in back.layer_weights] == [(3, 4), (4, 2)]
-    assert (back.g_weight, back.g_bias) == (1.5, -0.25)
+    assert [w.shape for w in params.layer_weights] == [(3, 4), (4, 2)]
+    assert [b.shape for b in params.layer_biases] == [(4,), (2,)]
+    assert all(np.shares_memory(a, vec) for _, a in params.named_arrays())
+    shapes = [a.shape for _, a in params.named_arrays()]
+    for other in (params.copy(), params.zeros_like()):
+        assert [a.shape for _, a in other.named_arrays()] == shapes
+        assert all(np.shares_memory(a, other.vec) for _, a in other.named_arrays())
+        assert not np.shares_memory(other.vec, vec)
+    assert bits(params.copy().vec) == bits(vec)
+    assert not params.zeros_like().vec.any()
+    params.g_weight = 2.5
+    assert vec[-2] == 2.5 and params.g_weight == 2.5
+    params.g_bias = 0.75
+    assert vec[-1] == 0.75 and params.g_bias == 0.75
+    params.layer_biases[0][1] = 3.0
+    assert vec[21] == 3.0
+    with pytest.raises(TypeError):
+        params.layer_weights[0] = np.zeros((3, 4))
+    with pytest.raises(TypeError):
+        params.layer_biases[0] = np.zeros(4)
 
 
 def per_array_sgd_step(params, grads, momentum, step_index, total_steps, cfg):
@@ -299,13 +320,13 @@ def per_array_sgd_step(params, grads, momentum, step_index, total_steps, cfg):
     ):
         g_eff = g + cfg.weight_decay * w
         buf = mu * buf + g_eff
-        new_mom.layer_weights[i] = buf
+        new_mom.layer_weights[i][...] = buf
         new_w.append(w - lr * (g_eff + mu * buf))
     for i, (b, g, buf) in enumerate(
         zip(params.layer_biases, grads.layer_biases, momentum.layer_biases)
     ):
         buf = mu * buf + g
-        new_mom.layer_biases[i] = buf
+        new_mom.layer_biases[i][...] = buf
         new_b.append(b - lr * (g + mu * buf))
     buf_gw = mu * momentum.g_weight + grads.g_weight
     buf_gb = mu * momentum.g_bias + grads.g_bias
@@ -325,7 +346,7 @@ def random_like(template, r, scale):
     out = template.zeros_like()
     for arrays in (out.layer_weights, out.layer_biases):
         for i, a in enumerate(arrays):
-            arrays[i] = r.normal(scale=scale, size=a.shape)
+            arrays[i][...] = r.normal(scale=scale, size=a.shape)
     out.g_weight, out.g_bias = r.normal(scale=scale, size=2)
     return out
 
@@ -372,14 +393,35 @@ def test_sgd_step_matches_per_array_update(
         decay_milestones=tuple(sorted(milestones)),
     )
     step = int(step_frac * total_steps)
-    got_p, got_m = sgd_step(params, grads, momentum, step, total_steps, cfg)
-    want_p, want_m = per_array_sgd_step(params, grads, momentum, step, total_steps, cfg)
-    for got, want in ((got_p, want_p), (got_m, want_m)):
+    params_before, grads_before, momentum_before = params.copy(), grads.copy(), momentum.copy()
+    sgd_step(params, grads, momentum, step, total_steps, cfg)
+    want_p, want_m = per_array_sgd_step(
+        params_before, grads_before, momentum_before, step, total_steps, cfg
+    )
+    assert bits(grads.vec) == bits(grads_before.vec)
+    for got, want in ((params, want_p), (momentum, want_m)):
         assert [a.shape for _, a in got.named_arrays()] == [a.shape for _, a in want.named_arrays()]
         assert bits(*(a for _, a in got.named_arrays())) == bits(
             *(a for _, a in want.named_arrays())
         )
         assert bits(got.g_weight, got.g_bias) == bits(want.g_weight, want.g_bias)
+
+
+@pytest.mark.parametrize("where", ["layer_weights", "layer_biases", "g_bias"])
+def test_sgd_rejected_gradient_writes_nothing(where):
+    r = rng(15)
+    params = init_params(3, 2, rng=r)
+    grads = random_like(params, r, 1.0)
+    momentum = random_like(params, r, 0.5)
+    if where == "g_bias":
+        grads.g_bias = np.nan
+    else:
+        getattr(grads, where)[-1][0] = np.inf
+    params_before, momentum_before = bits(params.vec), bits(momentum.vec)
+    with pytest.raises(ValueError, match="non-finite gradient"):
+        sgd_step(params, grads, momentum, 0, 1, OptimizerConfig())
+    assert bits(params.vec) == params_before
+    assert bits(momentum.vec) == momentum_before
 
 
 def test_sgd_rejects_nonfinite_head_gradient():
@@ -393,7 +435,7 @@ def test_sgd_rejects_nonfinite_head_gradient():
 def test_sgd_rejects_overflowing_update():
     params = init_params(3, 2, rng=rng(14))
     grads = params.zeros_like()
-    grads.layer_weights[0] = np.full_like(params.layer_weights[0], 1e308)
+    grads.layer_weights[0][...] = 1e308
     cfg = OptimizerConfig(base_lr=1e3, momentum=0.9)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
         sgd_step(params, grads, params.zeros_like(), 0, 1, cfg)

@@ -145,7 +145,7 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
     assert d_id > 0.0 and d_cov == 0.0 and d_id <= hp.epsilon
     assert l_temp == w_temp == 0.0 and g_temp is None
     l_temp, _, _, _, g_temp = term(2.0 * hp.epsilon)
-    assert l_temp > 0.0 and np.isfinite(g_temp.flatten()).all()
+    assert l_temp > 0.0 and np.isfinite(g_temp.vec).all()
 
 
 def test_run_state_hand_off():
@@ -241,6 +241,18 @@ def test_run_stream_rejects_initialization_of_another_config(change):
     init = initialize(small_cfg(method="scone"))
     with pytest.raises(ValueError, match="another config"):
         run_stream(small_cfg(**change), init=init)
+
+
+@pytest.mark.parametrize("method", trainer_mod.METHODS)
+def test_run_stream_leaves_initialization_unchanged(method):
+    # sgd_step writes in place, so the run must train copies of the init's arrays
+    init = initialize(small_cfg())
+    params, momentum = init.params.vec.tobytes(), init.momentum.vec.tobytes()
+    trace = []
+    run_stream(small_cfg(method), param_trace=trace, init=init)
+    assert init.params.vec.tobytes() == params
+    assert init.momentum.vec.tobytes() == momentum
+    assert trace[-1].vec.tobytes() != params
 
 
 def test_run_config_rejects_negative_seed():
