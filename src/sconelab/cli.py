@@ -114,9 +114,8 @@ def _load_spec(args) -> ExperimentSpec:
 def cmd_run(args) -> int:
     spec = _load_spec(args)
     method = args.method or spec.methods[0]
-    if method not in METHODS:
-        raise ConfigError(f"--method: unknown method {method!r}; choose from {METHODS}")
-    # the echo then names the one method run, so a rerun from it runs that method
+    # ExperimentSpec rejects an unknown method before any run starts, and the
+    # echo then names the one method run, so a rerun from it runs that method
     _run_grid(replace(spec, methods=(method,)))
     print(f"run complete: method={method} seeds={list(spec.seeds)} -> {spec.out_dir}")
     return 0

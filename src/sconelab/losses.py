@@ -2,7 +2,8 @@
 
 Both energy sigmoids pivot at the margin eta: the in-distribution term is
 mean sigmoid(g(E - eta)) and the wild term is mean sigmoid(-g(E - eta)),
-so for the identity head the two are exact complements. The constraint on
+so for the identity head the two are exact complements. Both are one
+signed function, _margin_grad, under two public names. The constraint on
 the ID term is enforced with an augmented-Lagrangian pair (linear
 multiplier + quadratic penalty) and dual ascent on the multiplier. Each
 term is one function that returns its value with its derivatives. The
@@ -73,33 +74,29 @@ class LossBreakdown:
     total: float
 
 
+def _margin_grad(energies: np.ndarray, params, eta: float, side: float):
+    """Mean sigmoid(side * g(E - eta)) and its derivatives; side = +1 is the ID
+    term, -1 the wild term. side multiplies each head derivative after its
+    sum, since a sum of -0.0 entries is +0.0 and would lose a zero's sign."""
+    e = np.asarray(energies, dtype=float)
+    if e.size == 0:
+        raise ValueError("empty energy batch")
+    s = sigmoid(side * (params.g_weight * (e - eta) + params.g_bias))
+    sp = s * (1.0 - s) / e.size
+    d_gw, d_gb = float((sp * (e - eta)).sum()), float(sp.sum())
+    return float(s.mean()), side * sp * params.g_weight, side * d_gw, side * d_gb
+
+
 def loss_in_grad(energies_id: np.ndarray, params, eta: float):
     """Mean sigmoid(g(E - eta)) over an ID batch, small when E sits below
     eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
-    e = np.asarray(energies_id, dtype=float)
-    if e.size == 0:
-        raise ValueError("empty ID energy batch")
-    u = params.g_weight * (e - eta) + params.g_bias
-    s = sigmoid(u)
-    sp = s * (1.0 - s) / e.size
-    return float(s.mean()), sp * params.g_weight, float((sp * (e - eta)).sum()), float(sp.sum())
+    return _margin_grad(energies_id, params, eta, 1.0)
 
 
 def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
     """Mean sigmoid(-g(E - eta)) over a wild batch, small when E sits above
     eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
-    e = np.asarray(energies_wild, dtype=float)
-    if e.size == 0:
-        raise ValueError("empty wild energy batch")
-    u = -(params.g_weight * (e - eta) + params.g_bias)
-    s = sigmoid(u)
-    sp = s * (1.0 - s) / e.size
-    return (
-        float(s.mean()),
-        -sp * params.g_weight,
-        float(-(sp * (e - eta)).sum()),
-        float(-sp.sum()),
-    )
+    return _margin_grad(energies_wild, params, eta, -1.0)
 
 
 def alm_in(l_in_value: float, lambda_in_mult: float, hp: Hyperparams) -> tuple[float, float]:

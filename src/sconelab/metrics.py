@@ -2,9 +2,10 @@
 
 Detection uses the raw negated energy (higher means more in-distribution),
 not the learned affine head, so the reported detection metrics stay
-comparable across methods and epochs. The detector threshold is refit on
-each timestep's ID test split. The record's ATC and AC values are scored
-from the test logits by the same formula as the trainer's probe scores.
+comparable across methods and epochs. The record's fpr95 and threshold
+are fpr_at_tpr's, refit on each timestep's ID test split. The record's ATC
+and AC values are scored from the test logits by the same formula as the
+trainer's probe scores.
 
 The record dataclasses are the only schema: CSV_COLUMNS is the
 MetricsRecord fields other than `loss`, then loss_<name> for each
@@ -82,13 +83,14 @@ def fit_threshold(id_detection_scores: np.ndarray, target_tpr: float = 0.95) -> 
 
 def fpr_at_tpr(
     id_scores: np.ndarray, ood_scores: np.ndarray, target_tpr: float = 0.95
-) -> float:
-    """Fraction of OOD scores above the ID-fitted detector threshold."""
+) -> tuple[float, float]:
+    """Fraction of OOD scores above the ID-fitted detector threshold;
+    returns (fpr, threshold)."""
     ood = np.asarray(ood_scores, dtype=float)
     if ood.size == 0 or np.asarray(id_scores).size == 0:
         raise ValueError("need nonempty ID and OOD score vectors")
     lam = fit_threshold(id_scores, target_tpr)
-    return float((ood > lam).mean())
+    return float((ood > lam).mean()), lam
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -118,8 +120,7 @@ def evaluate_timestep(
     logits_cov = forward(params, splits.test_cov_x)
     logits_sem = forward(params, splits.test_sem_x)
 
-    lam = fit_threshold(-energy(logits_id))
-    fpr = float((-energy(logits_sem) > lam).mean())
+    fpr, lam = fpr_at_tpr(-energy(logits_id), -energy(logits_sem))
 
     return MetricsRecord(
         t=splits.t,

@@ -90,33 +90,20 @@ class StreamConfig:
         if self.samples_per_split < 1:
             raise ValueError("samples_per_split must be positive")
         t_count = self.num_timesteps
-        self.pi_cov_schedule = _as_schedule(
-            0.3 if self.pi_cov_schedule is None else self.pi_cov_schedule, t_count, "pi_cov"
-        )
-        self.pi_sem_schedule = _as_schedule(
-            0.2 if self.pi_sem_schedule is None else self.pi_sem_schedule, t_count, "pi_sem"
-        )
-        if self.corruption_sigma_schedule is None:
-            if self.regime == REGIME_DYNAMIC:
-                ramp = np.linspace(0.0, 1.0, t_count) if t_count > 1 else np.array([0.0])
-                self.corruption_sigma_schedule = tuple(float(s) for s in ramp)
-            else:
-                self.corruption_sigma_schedule = (0.5,) * t_count
-        else:
-            self.corruption_sigma_schedule = _as_schedule(
-                self.corruption_sigma_schedule, t_count, "corruption_sigma"
-            )
-        for name in ("pi_cov_schedule", "pi_sem_schedule"):
-            if not all(p >= 0.0 for p in getattr(self, name)):
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        dynamic = self.regime == REGIME_DYNAMIC
+        for name, default in (
+            ("pi_cov", 0.3),
+            ("pi_sem", 0.2),
+            ("corruption_sigma", np.linspace(0.0, 1.0, t_count) if dynamic else 0.5),
+        ):
+            value = getattr(self, f"{name}_schedule")
+            sched = _as_schedule(default if value is None else value, t_count, name)
+            if not all(0.0 <= v < np.inf for v in sched):
+                raise ValueError(f"{name}_schedule must be >= 0 and finite, got {sched}")
+            setattr(self, f"{name}_schedule", sched)
         for pc, ps in zip(self.pi_cov_schedule, self.pi_sem_schedule):
             if not pc + ps < 1.0:
                 raise ValueError(f"mixture weights must satisfy pi_cov + pi_sem < 1, got {pc}, {ps}")
-        if not all(0.0 <= s < np.inf for s in self.corruption_sigma_schedule):
-            raise ValueError(
-                "corruption_sigma_schedule must be >= 0 and finite, "
-                f"got {self.corruption_sigma_schedule}"
-            )
 
 
 def _as_schedule(value, t_count: int, name: str) -> tuple[float, ...]:
@@ -140,12 +127,9 @@ class DomainSnapshot:
         diff = self.id_class_means[:, None, :] - self.sem_class_means[None, :, :]
         return float(np.sqrt((diff**2).sum(axis=2)).min())
 
-    def validate(self):
-        if self.min_separation() < 3.0 * self.class_cov_scale:
-            raise ValueError(
-                f"semantic means too close to ID means: {self.min_separation():.3f} "
-                f"< {3.0 * self.class_cov_scale:.3f}"
-            )
+    def separated(self) -> bool:
+        """Every semantic mean at least 3 class standard deviations from every ID mean."""
+        return self.min_separation() >= 3.0 * self.class_cov_scale
 
 
 @dataclass
@@ -170,23 +154,30 @@ def make_snapshot(cfg: StreamConfig, seed: int, t: int) -> DomainSnapshot:
     if not 0 <= t < cfg.num_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {cfg.num_timesteps})")
     k, d = cfg.num_classes, cfg.input_dim
-    sigma = cfg.corruption_sigma_schedule[t]
     if cfg.regime == REGIME_DYNAMIC:
-        id_means = _circle_means(k, ID_RADIUS, t * cfg.drift_angle_per_step, d)
-        sem_means = _circle_means(k, SEM_RADIUS, np.pi / k, d)
-        snap = DomainSnapshot(t, id_means, sem_means, cfg.class_cov_scale, sigma)
-        snap.validate()
-        return snap
-    # The initialization timestep shares the first wild domain (the stream's
-    # first real domain is also the init data); fresh domains start at t=2.
-    rng = substream(seed, PURPOSE_SNAPSHOT, max(t, 1))
-    for _ in range(_SEPARATION_RETRIES):
-        id_means = _circle_means(k, ID_RADIUS, rng.uniform(0.0, 2.0 * np.pi), d)
-        sem_means = _circle_means(k, SEM_RADIUS, rng.uniform(0.0, 2.0 * np.pi), d)
-        snap = DomainSnapshot(t, id_means, sem_means, cfg.class_cov_scale, sigma)
-        if snap.min_separation() >= 3.0 * cfg.class_cov_scale:
+        phases = [(t * cfg.drift_angle_per_step, np.pi / k)]
+    else:
+        # The initialization timestep shares the first wild domain (the stream's
+        # first real domain is also the init data); fresh domains start at t=2.
+        rng = substream(seed, PURPOSE_SNAPSHOT, max(t, 1))
+        phases = (
+            (rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi))
+            for _ in range(_SEPARATION_RETRIES)
+        )
+    for id_phase, sem_phase in phases:
+        snap = DomainSnapshot(
+            t,
+            _circle_means(k, ID_RADIUS, id_phase, d),
+            _circle_means(k, SEM_RADIUS, sem_phase, d),
+            cfg.class_cov_scale,
+            cfg.corruption_sigma_schedule[t],
+        )
+        if snap.separated():
             return snap
-    snap.validate()  # raises with the last draw's separation
+    raise ValueError(
+        f"semantic means too close to ID means: {snap.min_separation():.3f} "
+        f"< 3 * class_cov_scale (class_cov_scale = {cfg.class_cov_scale})"
+    )
 
 
 def _blobs(means: np.ndarray, idx: np.ndarray, scale: float, rng: np.random.Generator):

@@ -116,10 +116,6 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"negative seed {self.seed}; seeds must be >= 0")
 
-    @property
-    def mode(self) -> str:
-        return "ac" if self.method == METHOD_TEMP_AC else "atc"
-
     def effective_hyper(self) -> Hyperparams:
         """The baseline method ignores the temporal weight."""
         if self.method == METHOD_SCONE:
@@ -133,7 +129,7 @@ class RunState:
 
     prev_scores holds the (ID, covariate) probe scores of the last finished
     timestep and delta the ATC threshold. Timestep 0 fits delta only;
-    run_stream stores its own mode's scores from Initialization.probes.
+    run_stream stores its own method's scores from Initialization.probes.
     """
 
     params: ModelParams
@@ -163,30 +159,28 @@ class Initialization:
     probes: tuple[np.ndarray, np.ndarray]
 
 
-def _probe_score(params, probe, mode, kind, delta, omega):
-    """The mode's score of one probe batch: (score, dscore/dlogits, activations).
+def _probe_score(params, probe, cfg: RunConfig, delta):
+    """cfg's score of one probe batch, AC for temp_scone_ac and ATC
+    otherwise: (score, dscore/dlogits, activations).
 
     Both the epoch temporal term and the scores stored for the next
     timestep come from here, so an unchanged model measures zero drift.
     """
     logits, acts = forward_cached(params, probe)
-    if mode == "atc":
-        return (*diff_atc_grad_logits(logits, kind, delta, omega), acts)
-    return (*diff_ac_grad_logits(logits), acts)
+    if cfg.method == METHOD_TEMP_AC:
+        return (*diff_ac_grad_logits(logits), acts)
+    return (*diff_atc_grad_logits(logits, cfg.score_kind, delta, cfg.hyper.omega), acts)
 
 
 def _stored_scores(params, probes, cfg: RunConfig, delta) -> tuple[float, float]:
     """The (ID, covariate) probe scores a finished timestep hands to the next."""
-    return tuple(
-        _probe_score(params, probe, cfg.mode, cfg.score_kind, delta, cfg.hyper.omega)[0]
-        for probe in probes
-    )
+    return tuple(_probe_score(params, probe, cfg, delta)[0] for probe in probes)
 
 
-def _epoch_temporal_term(params, splits, prev_scores, hp, mode, kind, delta):
+def _epoch_temporal_term(params, splits, prev_scores, hp, cfg: RunConfig, delta):
     """Epoch-constant temporal loss, weight, drifts and gradient (None if no term fires)."""
-    s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, mode, kind, delta, hp.omega)
-    s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, mode, kind, delta, hp.omega)
+    s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, cfg, delta)
+    s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, cfg, delta)
     l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
         prev_scores, s_in, s_cov, hp
     )
@@ -221,8 +215,6 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     ce, dz_id = cross_entropy_from_log_softmax(logp_id, probs_id, yb)
     dz_id -= dz_energy
     grads = backward_from_logits(params, acts_id, dz_id)
-    grads.g_weight = w_alm * dlin_dgw
-    grads.g_bias = w_alm * dlin_dgb
 
     logits_w, acts_w = forward_cached(params, wild_b)
     logp_w, e_w = log_softmax_energy(logits_w)
@@ -230,8 +222,8 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     dz_w = np.exp(logp_w, out=logp_w)
     dz_w *= (-(hp.lambda_out * dlout_de))[:, None]
     grads.vec += backward_from_logits(params, acts_w, dz_w).vec
-    grads.g_weight += hp.lambda_out * dlout_dgw
-    grads.g_bias += hp.lambda_out * dlout_dgb
+    grads.g_weight = w_alm * dlin_dgw + hp.lambda_out * dlout_dgw
+    grads.g_bias = w_alm * dlin_dgb + hp.lambda_out * dlout_dgb
     return ce, l_in_v, l_out_v, alm_v, grads
 
 
@@ -295,7 +287,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
         temporal_active = False
         if wild:
             l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
-                params, splits, state.prev_scores, hp, cfg.mode, kind, state.delta
+                params, splits, state.prev_scores, hp, cfg, state.delta
             )
             temporal_active = l_temp != 0.0
             if temporal_active:
@@ -369,7 +361,7 @@ def run_stream(
 
     Timestep 0 comes from init, which initialize(cfg) trains when none is
     given; an init must have been trained under cfg up to its method, else
-    ValueError. The run stores its own mode's probe scores from the init's
+    ValueError. The run stores its own method's probe scores from the init's
     probes and delta. When param_trace is a list, a copy of the parameters
     is appended after every timestep (used by trajectory-equality tests).
     Training runs on one BLAS thread; the caller's thread count is restored

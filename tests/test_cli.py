@@ -455,6 +455,19 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+def test_cli_run_unknown_method_flag_exits_nonzero(tmp_path, capsys, monkeypatch):
+    def no_run(cfg, init=None):
+        raise AssertionError(f"trained {cfg.method} at seed {cfg.seed}")
+
+    monkeypatch.setattr("sconelab.cli.initialize", no_run)
+    monkeypatch.setattr("sconelab.cli.run_stream", no_run)
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), "--method", "nope"]) == 1
+    assert "error: unknown method 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_duplicate_seeds_exit_nonzero(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_RUN)
     out = tmp_path / "o"

@@ -32,7 +32,12 @@ from sconelab.scores import (
     diff_ac_grad_logits,
     diff_atc_grad_logits,
 )
-from sconelab.trainer import _epoch_temporal_term, _minibatch_loss_grads
+from sconelab.trainer import (
+    METHOD_TEMP_ATC,
+    RunConfig,
+    _epoch_temporal_term,
+    _minibatch_loss_grads,
+)
 
 STEP = 1e-4
 TOL = 1e-4
@@ -272,8 +277,9 @@ def test_epoch_temporal_term_matches_finite_differences():
         probe_in = x
         probe_cov = x_cov
 
+    cfg = RunConfig(hyper=HP, method=METHOD_TEMP_ATC, score_kind=ScoreKind.MAX_CONFIDENCE)
     l_temp, w_temp, d_id, d_cov, grad = _epoch_temporal_term(
-        params, FakeSplits, prev_scores, HP, "atc", ScoreKind.MAX_CONFIDENCE, delta
+        params, FakeSplits, prev_scores, HP, cfg, delta
     )
     assert l_temp > 0 and d_id > 0 and d_cov > 0
     numeric = fd_param_grad(

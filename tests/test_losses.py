@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +87,27 @@ def test_sigmoid_symmetry_property(energies):
     e = np.array(energies)
     total = loss_in_grad(e, head, -1.0)[0] + loss_out_grad(e, head, -1.0)[0]
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _bits(result):
+    return [np.asarray(v, dtype=float).tobytes() for v in result]
+
+
+@given(
+    st.lists(st.floats(min_value=-60, max_value=60), min_size=1, max_size=20),
+    st.floats(min_value=-20, max_value=-1e-3),
+    st.floats(min_value=-5, max_value=5),
+    st.floats(min_value=-5, max_value=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_loss_out_is_loss_in_of_the_negated_head(energies, eta, g_weight, g_bias):
+    """Bit for bit, the wild term under a head is the ID term under the
+    negated head with its two head derivatives negated."""
+    e = np.array(energies)
+    head = SimpleNamespace(g_weight=g_weight, g_bias=g_bias)
+    negated = SimpleNamespace(g_weight=-g_weight, g_bias=-g_bias)
+    value, d_e, d_gw, d_gb = loss_in_grad(e, negated, eta)
+    assert _bits(loss_out_grad(e, head, eta)) == _bits((value, d_e, -d_gw, -d_gb))
 
 
 def test_empty_energy_batches_rejected(identity_head):

@@ -94,14 +94,14 @@ def test_fit_threshold_matches_brute_force_randomized():
 def test_fpr_perfect_separation():
     id_scores = np.linspace(10, 20, 50)
     ood = np.linspace(0, 5, 30)
-    assert fpr_at_tpr(id_scores, ood) == 0.0
+    assert fpr_at_tpr(id_scores, ood)[0] == 0.0
 
 
 def test_fpr_shared_multiset_gives_target_complement():
     r = np.random.default_rng(2)
     id_scores = r.normal(size=100)
     ood = r.permutation(id_scores)
-    got = fpr_at_tpr(id_scores, ood, 0.95)
+    got = fpr_at_tpr(id_scores, ood, 0.95)[0]
     assert got == pytest.approx(0.95)
     assert got == pytest.approx(brute_force_fpr(id_scores, ood, 0.95))
 
@@ -109,7 +109,7 @@ def test_fpr_shared_multiset_gives_target_complement():
 def test_fpr_total_confusion():
     id_scores = np.linspace(0, 1, 40)
     ood = np.linspace(5, 6, 25)
-    assert fpr_at_tpr(id_scores, ood) == 1.0
+    assert fpr_at_tpr(id_scores, ood)[0] == 1.0
 
 
 def test_fpr_empty_inputs_rejected():
@@ -126,7 +126,10 @@ def test_fpr_matches_brute_force_randomized():
         m = int(r.integers(1, 150))
         id_scores = np.round(r.normal(size=n), 2)
         ood = np.round(r.normal(0.5, 1.2, size=m), 2)
-        assert fpr_at_tpr(id_scores, ood, 0.95) == brute_force_fpr(id_scores, ood, 0.95)
+        assert fpr_at_tpr(id_scores, ood, 0.95) == (
+            brute_force_fpr(id_scores, ood, 0.95),
+            brute_force_fit_threshold(id_scores, 0.95),
+        )
 
 
 @given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=-2.0, max_value=2.0))
@@ -135,9 +138,9 @@ def test_fpr_invariant_under_increasing_transform(scale, shift):
     r = np.random.default_rng(4)
     id_scores = r.normal(size=60)
     ood = r.normal(0.5, 1.0, size=40)
-    base = fpr_at_tpr(id_scores, ood)
+    base = fpr_at_tpr(id_scores, ood)[0]
     # strictly increasing map applied jointly to both score sets
-    transformed = fpr_at_tpr(np.tanh(scale * id_scores + shift), np.tanh(scale * ood + shift))
+    transformed = fpr_at_tpr(np.tanh(scale * id_scores + shift), np.tanh(scale * ood + shift))[0]
     assert base == transformed
 
 

@@ -72,6 +72,13 @@ def test_semantic_separation_invariant():
                 assert snap.min_separation() >= 3.0 * c.class_cov_scale
 
 
+def test_snapshot_rejects_unseparable_geometry():
+    # no draw can put the radius-4 and radius-8 circles 15 apart
+    for regime in ("dynamic", "distinct"):
+        with pytest.raises(ValueError, match="too close"):
+            make_snapshot(cfg(regime=regime, class_cov_scale=5.0), 0, 2)
+
+
 def test_snapshot_deterministic_in_seed_and_t():
     one = make_snapshot(cfg(regime="distinct"), 7, 3)
     two = make_snapshot(cfg(regime="distinct"), 7, 3)
@@ -187,6 +194,12 @@ def test_stream_config_schedule_validation():
         cfg(pi_cov_schedule=(0.1, 0.2))
     with pytest.raises(ValueError, match="pi_cov"):
         cfg(pi_cov_schedule=0.7, pi_sem_schedule=0.4)
+    for name in ("pi_cov", "pi_sem", "corruption_sigma"):
+        for bad in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError, match=f"{name}_schedule must be"):
+                cfg(**{f"{name}_schedule": bad})
+            with pytest.raises(ValueError, match=f"{name}_schedule must be"):
+                cfg(**{f"{name}_schedule": (0.1, 0.1, bad, 0.1, 0.1)})
     c = cfg(regime="dynamic")
     assert c.corruption_sigma_schedule[0] == 0.0
     assert c.corruption_sigma_schedule[-1] == 1.0

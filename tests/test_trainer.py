@@ -4,7 +4,7 @@ import pytest
 from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
 from sconelab.losses import Hyperparams, loss_in_grad, update_multipliers
-from sconelab.metrics import evaluate_timestep
+from sconelab.metrics import evaluate_timestep, fit_threshold, fpr_at_tpr
 from sconelab.model import OptimizerConfig, energy, forward, init_params
 from sconelab.scores import ScoreKind
 from sconelab.stream import StreamConfig, substream
@@ -119,7 +119,7 @@ def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
         )
         train_timestep(state, splits, cfg)
         _, _, d_id, d_cov, _ = trainer_mod._epoch_temporal_term(
-            state.params, splits, state.prev_scores, hp, cfg.mode, kind, state.delta
+            state.params, splits, state.prev_scores, hp, cfg, state.delta
         )
         assert seen[-1] == state.prev_scores
         assert d_id == 0.0 and d_cov == 0.0
@@ -132,14 +132,12 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
     splits, params = _fresh_setup(cfg)
     kind = cfg.score_kind
     delta = trainer_mod._fit_delta(params, splits, kind)
-    s_in = trainer_mod._probe_score(params, splits.probe_in, cfg.mode, kind, delta, hp.omega)[0]
+    s_in = trainer_mod._probe_score(params, splits.probe_in, cfg, delta)[0]
 
     def term(drift):
         # the ID score fell by drift; the covariate score fell, which is no drift
         prev_scores = (s_in + drift, 2.0)
-        return trainer_mod._epoch_temporal_term(
-            params, splits, prev_scores, hp, cfg.mode, kind, delta
-        )
+        return trainer_mod._epoch_temporal_term(params, splits, prev_scores, hp, cfg, delta)
 
     l_temp, w_temp, d_id, d_cov, g_temp = term(0.5 * hp.epsilon)
     assert d_id > 0.0 and d_cov == 0.0 and d_id <= hp.epsilon
@@ -161,11 +159,11 @@ def test_run_state_hand_off():
     assert state.delta == delta_0
     assert state.prev_scores is None
     assert state.lambda_in_mult == 0.0
-    # run_stream stores the t = 0 probe scores of its own mode
+    # run_stream stores the t = 0 probe scores of its own method
     probes_0 = (splits_0.probe_in, splits_0.probe_cov)
     state.prev_scores = trainer_mod._stored_scores(state.params, probes_0, cfg, state.delta)
     assert state.prev_scores == tuple(
-        trainer_mod._probe_score(state.params, probe, cfg.mode, kind, delta_0, hp.omega)[0]
+        trainer_mod._probe_score(state.params, probe, cfg, delta_0)[0]
         for probe in probes_0
     )
 
@@ -189,6 +187,21 @@ def test_run_state_hand_off():
     l_in = loss_in_grad(energy(forward(state.params, splits_2.train_x)), state.params, hp.eta)[0]
     assert state.lambda_in_mult == update_multipliers(lambda_1, l_in, hp)
     assert state.lambda_in_mult != update_multipliers(0.0, l_in, hp)
+
+
+def test_record_detection_fields_are_fpr_at_tpr():
+    """A trained timestep's fpr95 and lambda_threshold are what fpr_at_tpr
+    and fit_threshold give for -energy of its test logits."""
+    cfg = small_cfg()
+    trace = []
+    records = run_stream(cfg, param_trace=trace)
+    for t in (1, 2):
+        splits = trainer_mod._splits(cfg, t)
+        id_scores = -energy(forward(trace[t], splits.test_id_x))
+        sem_scores = -energy(forward(trace[t], splits.test_sem_x))
+        record = records[t]
+        assert (record.fpr95, record.lambda_threshold) == fpr_at_tpr(id_scores, sem_scores)
+        assert record.lambda_threshold == fit_threshold(id_scores)
 
 
 def test_scone_reduction_bitwise_identical():
@@ -220,7 +233,7 @@ def test_run_stream_single_timestep_is_ce_only():
 
 
 def test_initialize_stores_no_probe_scores(monkeypatch):
-    """Timestep 0 scores no probe: each run_stream stores its own mode's."""
+    """Timestep 0 scores no probe: each run_stream stores its own method's."""
     calls = []
     probe_score = trainer_mod._probe_score
 
