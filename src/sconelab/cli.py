@@ -98,12 +98,16 @@ def _run_grid(spec: ExperimentSpec):
         _write_atomic(os.path.join(spec.out_dir, name), text)
 
 
+def _out_flag(args) -> str | None:
+    if args.out == "":  # it would write into the working directory
+        raise ConfigError("--out: empty path; name a directory")
+    return args.out
+
+
 def _load_spec(args) -> ExperimentSpec:
-    spec = parse_config(args.config) if args.config else default_spec()
-    updates = {}
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.seeds:
+    spec = default_spec() if args.config is None else parse_config(args.config)
+    updates = {} if _out_flag(args) is None else {"out_dir": args.out}
+    if args.seeds is not None:
         try:
             updates["seeds"] = _parse_value(args.seeds, tuple[int, ...])
         except ValueError as exc:
@@ -113,7 +117,7 @@ def _load_spec(args) -> ExperimentSpec:
 
 def cmd_run(args) -> int:
     spec = _load_spec(args)
-    method = args.method or spec.methods[0]
+    method = spec.methods[0] if args.method is None else args.method
     # ExperimentSpec rejects an unknown method before any run starts, and the
     # echo then names the one method run, so a rerun from it runs that method
     _run_grid(replace(spec, methods=(method,)))
@@ -132,11 +136,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
+    out_dir = _out_flag(args)
     checks = run_verification_sweep()
     rows = [check.to_row() for check in checks]
     text = _csv_text(SWEEP_COLUMNS, rows)
-    out_dir = getattr(args, "out", None)
-    if out_dir:
+    if out_dir is not None:
         _write_atomic(os.path.join(out_dir, "theory_checks.csv"), text)
     for check in checks:
         status = "ok" if check.passed else "FAIL"

@@ -7,14 +7,14 @@ reproduces the spec exactly. Schedules accept a scalar (broadcast over
 timesteps) or a comma-separated per-timestep list.
 
 SECTIONS maps each section to the dataclass that holds it, and the keys of
-a section are that dataclass's fields, parsed by their annotated types:
-int, float, str, bool, an Enum (by value), a tuple (comma-separated; a
-value with no items is the empty tuple, which the dataclass accepts or
+a section are that dataclass's field names, parsed by their annotated
+types: int, float, str, bool, an Enum (by value), a tuple (comma-separated;
+a value with no items is the empty tuple, which the dataclass accepts or
 rejects, and an empty item beside others is an error), or a
-`tuple | None` schedule. Adding a knob is therefore one field with a
-default on the dataclass; give it an entry in _INI_NAMES only if its key
-should differ from the field name. _fmt writes each value back, and the
-CLI prints its CSV cells with it too.
+`tuple | None` schedule. A knob is therefore one field: a numeric one is
+declared as knob(default, interval), and the dataclass's check_knobs
+rejects any value, or tuple entry, outside that interval. _fmt writes each
+value back, and the CLI prints its CSV cells with it too.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ import configparser
 import enum
 import io
 import types
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from .knobs import check_knobs, knob
 from .losses import Hyperparams
 from .model import OptimizerConfig
 from .stream import StreamConfig
@@ -43,7 +44,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentSpec:
     methods: tuple[str, ...] = (METHOD_TEMP_ATC,)
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = knob((0,), "[0, inf)")
     emit: str = "both"
     out_dir: str = "results"
     base_run: RunConfig = field(default_factory=RunConfig)
@@ -59,11 +60,7 @@ class ExperimentSpec:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"duplicate {name} {repeated[0]!r} in {list(values)}")
-        negative = [s for s in self.seeds if s < 0]
-        if negative:
-            raise ValueError(
-                f"negative seed {negative[0]} in {list(self.seeds)}; seeds must be >= 0"
-            )
+        check_knobs(self)
         if self.emit not in EMIT_MODES:
             raise ValueError(f"emit must be one of {EMIT_MODES}, got {self.emit!r}")
 
@@ -79,30 +76,15 @@ SECTIONS = {
     "run": RunConfig,
 }
 
-# Field name -> INI key, where the two differ.
-_INI_NAMES = {
-    "pi_cov_schedule": "pi_cov",
-    "pi_sem_schedule": "pi_sem",
-    "corruption_sigma_schedule": "corruption_sigma",
-    "lambda_in_penalty": "lambda_in",
-}
-
 # Fields that are not keys: the sections nested in the spec, and the method
 # and seed that [experiment] sets per run.
 _NOT_KEYS = frozenset({"base_run", "stream", "optimizer", "hyper", "method", "seed"})
 
-
-def _section_keys(cls) -> dict[str, tuple[str, object]]:
-    """INI key -> (field name, annotated type) for one section's dataclass."""
-    hints = get_type_hints(cls)
-    return {
-        _INI_NAMES.get(f.name, f.name): (f.name, hints[f.name])
-        for f in fields(cls)
-        if f.name not in _NOT_KEYS
-    }
-
-
-KEYS = {section: _section_keys(cls) for section, cls in SECTIONS.items()}
+# section -> {key (the field name): annotated type}
+KEYS = {
+    section: {name: kind for name, kind in get_type_hints(cls).items() if name not in _NOT_KEYS}
+    for section, cls in SECTIONS.items()
+}
 
 
 def default_spec() -> ExperimentSpec:
@@ -144,9 +126,8 @@ def _section_kwargs(parser: configparser.ConfigParser, section: str) -> dict:
     for key, raw in parser[section].items():
         if key not in KEYS[section]:
             raise ConfigError(f"unknown key [{section}] {key}")
-        name, kind = KEYS[section][key]
         try:
-            kwargs[name] = _parse_value(raw, kind)
+            kwargs[key] = _parse_value(raw, KEYS[section][key])
         except ValueError as exc:
             raise ConfigError(f"[{section}] {key}: {exc}") from None
     return kwargs
@@ -216,9 +197,7 @@ def serialize_spec(spec: ExperimentSpec) -> str:
     }
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in KEYS.items():
-        parser[section] = {
-            key: _fmt(getattr(values[section], name)) for key, (name, _) in keys.items()
-        }
+        parser[section] = {key: _fmt(getattr(values[section], key)) for key in keys}
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

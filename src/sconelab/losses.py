@@ -27,40 +27,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .knobs import check_knobs, knob
 from .model import sigmoid
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Scalar knobs of the constrained objective and the temporal penalty."""
+    """Scalar knobs of the constrained objective and the temporal penalty.
 
-    eta: float = -5.0
-    lambda_out: float = 1.0
-    lambda_in_penalty: float = 1.0
-    lambda_base: float = 1.0
-    delta_max: float = 0.2
-    epsilon: float = 0.02
-    omega: float = 0.05
-    fpr_cutoff: float = 0.05
-    lr_lambda: float = 0.1
+    lambda_in weighs the augmented Lagrangian's quadratic penalty on the ID
+    term; its linear multiplier is RunState.lambda_in_mult, not a knob.
+    """
+
+    eta: float = knob(-5.0, "(-inf, 0)")
+    lambda_out: float = knob(1.0, "[0, inf)")
+    lambda_in: float = knob(1.0, "[0, inf)")
+    lambda_base: float = knob(1.0, "[0, inf)")
+    delta_max: float = knob(0.2, "(0, inf]")
+    epsilon: float = knob(0.02, "[0, inf]")
+    omega: float = knob(0.05, "(0, inf)")
+    fpr_cutoff: float = knob(0.05, "(0, 1)")
+    lr_lambda: float = knob(0.1, "(0, inf)")
 
     def __post_init__(self):
-        # written as `not ok` so that NaN fails each check
-        if not -np.inf < self.eta < 0.0:
-            raise ValueError(f"eta must be negative and finite, got {self.eta}")
-        for name in ("lambda_out", "lambda_in_penalty", "lambda_base"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
-        if not self.delta_max > 0.0:
-            raise ValueError(f"delta_max must be > 0, got {self.delta_max}")
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0.0 < self.omega < np.inf:
-            raise ValueError(f"omega must be > 0 and finite, got {self.omega}")
-        if not 0.0 < self.fpr_cutoff < 1.0:
-            raise ValueError(f"fpr_cutoff must be in (0, 1), got {self.fpr_cutoff}")
-        if not 0.0 < self.lr_lambda < np.inf:
-            raise ValueError(f"lr_lambda must be > 0 and finite, got {self.lr_lambda}")
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -100,11 +90,12 @@ def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
 
 
 def alm_in(l_in_value: float, lambda_in_mult: float, hp: Hyperparams) -> tuple[float, float]:
-    """Augmented-Lagrangian term lambda*c + (lambda_in/2)*c^2, c = L_in - cutoff,
-    and its slope d/dL_in = lambda + lambda_in*c; returns (value, slope)."""
+    """Augmented-Lagrangian term lambda_in_mult*c + (hp.lambda_in/2)*c^2 with
+    c = L_in - fpr_cutoff, and its slope d/dL_in = lambda_in_mult + hp.lambda_in*c;
+    returns (value, slope)."""
     c = l_in_value - hp.fpr_cutoff
-    value = lambda_in_mult * c + 0.5 * hp.lambda_in_penalty * c * c
-    return value, lambda_in_mult + hp.lambda_in_penalty * c
+    value = lambda_in_mult * c + 0.5 * hp.lambda_in * c * c
+    return value, lambda_in_mult + hp.lambda_in * c
 
 
 def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:

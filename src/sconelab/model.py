@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .knobs import check_knobs, knob
+
 # Rows per block of the no-grad forward pass. A 128 x 64 float64 hidden
 # activation is 64 KiB, below glibc's 128 KiB mmap threshold, so block
 # temporaries reuse heap memory; larger ones are fresh mappings that page
@@ -98,34 +100,22 @@ class OptimizerConfig:
     decay_factor once per milestone passed.
     """
 
-    base_lr: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.0005
-    batch_size: int = 128
-    decay_milestones: tuple[float, ...] = (0.5, 0.75, 0.9)
-    decay_factor: float = 0.5
+    base_lr: float = knob(0.01, "(0, inf)")
+    momentum: float = knob(0.9, "[0, 1)")
+    weight_decay: float = knob(0.0005, "[0, inf)")
+    batch_size: int = knob(128, "[1, inf)")
+    decay_milestones: tuple[float, ...] = knob((0.5, 0.75, 0.9), "(0, 1)")
+    decay_factor: float = knob(0.5, "(0, 1]")
     # Slow detector head: an unconstrained affine slope sharpens the sigmoid
     # surrogates back into the 0/1 losses they replace, which collapses the
     # energy margins; the head therefore learns at a fraction of the base rate.
-    head_lr_scale: float = 0.05
+    head_lr_scale: float = knob(0.05, "[0, inf)")
 
     def __post_init__(self):
-        # written as `not ok` so that NaN fails each check
-        if not 0.0 < self.base_lr < np.inf:
-            raise ValueError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
-        if not 0.0 < self.decay_factor <= 1.0:
-            raise ValueError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if not 0.0 <= self.head_lr_scale < np.inf:
-            raise ValueError(f"head_lr_scale must be >= 0 and finite, got {self.head_lr_scale}")
+        check_knobs(self)
         ms = self.decay_milestones
-        if any(not 0.0 < m < 1.0 for m in ms) or any(a >= b for a, b in zip(ms, ms[1:])):
-            raise ValueError(f"milestones must be strictly increasing in (0, 1), got {ms}")
+        if any(a >= b for a, b in zip(ms, ms[1:])):
+            raise ValueError(f"decay_milestones must be strictly increasing, got {ms}")
 
 
 def _vec_entry(index: int) -> property:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .knobs import check_knobs, knob
+
 ID_RADIUS = 4.0
 SEM_RADIUS = 8.0
 
@@ -55,40 +57,27 @@ def substream(seed: int, purpose: int, t: int = 0) -> np.random.Generator:
 class StreamConfig:
     """Stream geometry and drift schedules.
 
-    Scalar pi_cov / pi_sem / corruption entries are broadcast to per-t
-    schedules; omitted corruption defaults to a linear 0 -> 1 ramp in the
-    dynamic regime and a constant 0.5 in the distinct regime.
+    pi_cov, pi_sem and corruption_sigma are per-timestep schedules: a scalar
+    is broadcast over the timesteps, and an omitted corruption_sigma defaults
+    to a linear 0 -> 1 ramp in the dynamic regime and a constant 0.5 in the
+    distinct regime.
     """
 
-    num_timesteps: int = 10
-    num_classes: int = 6
-    input_dim: int = 8
+    num_timesteps: int = knob(10, "[1, inf)")
+    num_classes: int = knob(6, "[2, inf)")
+    input_dim: int = knob(8, "[2, inf)")
     regime: str = REGIME_DYNAMIC
-    pi_cov_schedule: tuple[float, ...] | None = None
-    pi_sem_schedule: tuple[float, ...] | None = None
-    corruption_sigma_schedule: tuple[float, ...] | None = None
-    drift_angle_per_step: float = 0.1
-    samples_per_split: int = 2048
-    class_cov_scale: float = 1.0
+    pi_cov: tuple[float, ...] | None = knob(None, "[0, inf)")
+    pi_sem: tuple[float, ...] | None = knob(None, "[0, inf)")
+    corruption_sigma: tuple[float, ...] | None = knob(None, "[0, inf)")
+    drift_angle_per_step: float = knob(0.1, "(-inf, inf)")
+    samples_per_split: int = knob(2048, "[1, inf)")
+    class_cov_scale: float = knob(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if self.num_timesteps < 1:
-            raise ValueError(f"num_timesteps must be >= 1, got {self.num_timesteps}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.input_dim < 2:
-            raise ValueError(f"input_dim must be >= 2, got {self.input_dim}")
+        check_knobs(self)
         if self.regime not in (REGIME_DYNAMIC, REGIME_DISTINCT):
             raise ValueError(f"regime must be dynamic or distinct, got {self.regime!r}")
-        # written as `not ok` so that NaN fails each check
-        if not 0.0 < self.class_cov_scale < np.inf:
-            raise ValueError(f"class_cov_scale must be > 0 and finite, got {self.class_cov_scale}")
-        if not np.isfinite(self.drift_angle_per_step):
-            raise ValueError(
-                f"drift_angle_per_step must be finite, got {self.drift_angle_per_step}"
-            )
-        if self.samples_per_split < 1:
-            raise ValueError("samples_per_split must be positive")
         t_count = self.num_timesteps
         dynamic = self.regime == REGIME_DYNAMIC
         for name, default in (
@@ -96,12 +85,9 @@ class StreamConfig:
             ("pi_sem", 0.2),
             ("corruption_sigma", np.linspace(0.0, 1.0, t_count) if dynamic else 0.5),
         ):
-            value = getattr(self, f"{name}_schedule")
-            sched = _as_schedule(default if value is None else value, t_count, name)
-            if not all(0.0 <= v < np.inf for v in sched):
-                raise ValueError(f"{name}_schedule must be >= 0 and finite, got {sched}")
-            setattr(self, f"{name}_schedule", sched)
-        for pc, ps in zip(self.pi_cov_schedule, self.pi_sem_schedule):
+            value = getattr(self, name)
+            setattr(self, name, _as_schedule(default if value is None else value, t_count, name))
+        for pc, ps in zip(self.pi_cov, self.pi_sem):
             if not pc + ps < 1.0:
                 raise ValueError(f"mixture weights must satisfy pi_cov + pi_sem < 1, got {pc}, {ps}")
 
@@ -170,7 +156,7 @@ def make_snapshot(cfg: StreamConfig, seed: int, t: int) -> DomainSnapshot:
             _circle_means(k, ID_RADIUS, id_phase, d),
             _circle_means(k, SEM_RADIUS, sem_phase, d),
             cfg.class_cov_scale,
-            cfg.corruption_sigma_schedule[t],
+            cfg.corruption_sigma[t],
         )
         if snap.separated():
             return snap
@@ -252,8 +238,8 @@ def make_timestep_splits(
     """Generate every split of timestep t from independent substreams of seed."""
     snap = make_snapshot(cfg, seed, t)
     n = cfg.samples_per_split
-    pi_cov = cfg.pi_cov_schedule[t]
-    pi_sem = cfg.pi_sem_schedule[t]
+    pi_cov = cfg.pi_cov[t]
+    pi_sem = cfg.pi_sem[t]
 
     train_x, train_y = sample_labeled(snap, n, substream(seed, PURPOSE_TRAIN, t))
     wild = sample_wild(snap, n, pi_cov, pi_sem, substream(seed, PURPOSE_WILD, t))

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .knobs import check_knobs, knob
 from .losses import (
     Hyperparams,
     LossBreakdown,
@@ -95,26 +96,19 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper: Hyperparams = field(default_factory=Hyperparams)
     method: str = METHOD_TEMP_ATC
-    epochs_per_timestep: int = 10
-    probe_size: int = 512
-    seed: int = 0
-    hidden_sizes: tuple[int, ...] = (64, 64)
+    epochs_per_timestep: int = knob(10, "[0, inf)")
+    probe_size: int = knob(512, "[1, inf)")
+    seed: int = knob(0, "[0, inf)")
+    hidden_sizes: tuple[int, ...] = knob((64, 64), "[1, inf)")
     score_kind: ScoreKind = ScoreKind.MAX_CONFIDENCE
     refit_delta: bool = False
-    val_size: int = 512
-    test_size: int = 1024
+    val_size: int = knob(512, "[20, inf)")
+    test_size: int = knob(1024, "[20, inf)")
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.epochs_per_timestep < 0:
-            raise ValueError("epochs_per_timestep must be >= 0")
-        if self.probe_size < 1 or self.val_size < 20 or self.test_size < 20:
-            raise ValueError("probe/val/test sizes too small")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ValueError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-        if self.seed < 0:
-            raise ValueError(f"negative seed {self.seed}; seeds must be >= 0")
+        check_knobs(self)
 
     def effective_hyper(self) -> Hyperparams:
         """The baseline method ignores the temporal weight."""

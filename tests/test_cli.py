@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sconelab import trainer
 from sconelab.cli import main
 from sconelab.config import (
     KEYS,
+    SECTIONS,
     ConfigError,
     _fmt,
     default_spec,
@@ -21,6 +23,7 @@ from sconelab.config import (
     parse_config_text,
     serialize_spec,
 )
+from sconelab.knobs import intervals
 from sconelab.metrics import CSV_COLUMNS
 from sconelab.scores import ScoreKind
 
@@ -70,7 +73,7 @@ def test_minimal_config_populates_documented_defaults():
     assert spec.emit == "both"
     run = spec.base_run
     assert run.stream.num_timesteps == 10
-    assert run.stream.pi_cov_schedule == (0.3,) * 10
+    assert run.stream.pi_cov == (0.3,) * 10
     assert run.hyper.eta == -5.0
     assert run.epochs_per_timestep == 10
     assert run.optimizer.momentum == 0.9
@@ -79,7 +82,7 @@ def test_minimal_config_populates_documented_defaults():
 
 
 def test_config_eta_must_be_negative():
-    with pytest.raises(ConfigError, match="eta must be negative"):
+    with pytest.raises(ConfigError, match=r"\[hyper\]: eta must be in \(-inf, 0\), got 1.0"):
         parse_config_text(MINIMAL + "\n[hyper]\neta = 1.0\n")
 
 
@@ -154,10 +157,9 @@ def section_of(spec, section):
 @pytest.mark.parametrize("section,key", [(s, k) for s, keys in KEYS.items() for k in keys])
 def test_config_key_lands_in_its_field_and_round_trips(section, key):
     raw, expected = NON_DEFAULT[(section, key)]
-    name, _ = KEYS[section][key]
-    assert getattr(section_of(default_spec(), section), name) != expected
+    assert getattr(section_of(default_spec(), section), key) != expected
     spec = parse_config_text(f"[{section}]\n{key} = {raw}\n")
-    assert getattr(section_of(spec, section), name) == expected
+    assert getattr(section_of(spec, section), key) == expected
     assert parse_config_text(serialize_spec(spec)) == spec
 
 
@@ -199,7 +201,7 @@ def test_config_empty_list_item_rejected(section, key, value):
 def test_config_empty_tuple_round_trips(section, key):
     # a linear model and a schedule without decay are valid specs
     spec = parse_config_text(f"[{section}]\n{key} =\n")
-    assert getattr(section_of(spec, section), KEYS[section][key][0]) == ()
+    assert getattr(section_of(spec, section), key) == ()
     text = serialize_spec(spec)
     assert f"\n{key} = \n" in text
     assert parse_config_text(text) == spec
@@ -216,46 +218,97 @@ def test_config_empty_methods_or_seeds_rejected(key):
         parse_config_text(f"[experiment]\n{key} =\n")
 
 
+def entry_type(kind):
+    """int or float: the type of a knob's value, or of each of its entries."""
+    while kind not in (int, float):
+        kind = get_args(kind)[0]
+    return kind
+
+
+def declared_range_cases():
+    """(section, key, value, accepted) for every interval a key declares:
+    NaN, each open bound and the nearest value outside each closed finite
+    bound are rejected, and each closed bound is accepted. Bounds at
+    infinity, like NaN, apply to float knobs only; ints cannot spell them."""
+    cases = []
+    for section, cls in SECTIONS.items():
+        for key, interval in intervals(cls).items():
+            if key not in KEYS[section]:
+                continue  # [run] seed: [experiment] seeds sets it
+            kind = entry_type(KEYS[section][key])
+            if kind is float:
+                cases.append((section, key, "nan", False))
+            for bound, closed, outward in (
+                (interval.lo, interval.lo_closed, -1),
+                (interval.hi, interval.hi_closed, 1),
+            ):
+                if kind is int and not np.isfinite(bound):
+                    continue
+                text = repr(kind(bound)) if np.isfinite(bound) else str(bound)
+                cases.append((section, key, text, closed))
+                if closed and np.isfinite(bound):
+                    outside = bound + outward if kind is int else np.nextafter(bound, outward * np.inf)
+                    cases.append((section, key, repr(kind(outside)), False))
+    return cases
+
+
+BAD_VALUES = [
+    ("optimizer", "base_lr", "-0.01"),
+    ("optimizer", "base_lr", "0"),
+    ("optimizer", "base_lr", "nan"),
+    ("optimizer", "base_lr", "inf"),
+    ("optimizer", "momentum", "1.5"),
+    ("optimizer", "momentum", "-0.1"),
+    ("optimizer", "momentum", "nan"),
+    ("optimizer", "weight_decay", "-1"),
+    ("optimizer", "weight_decay", "nan"),
+    ("optimizer", "head_lr_scale", "nan"),
+    ("run", "hidden_sizes", "0"),
+    ("run", "hidden_sizes", "-2"),
+    ("run", "hidden_sizes", "8, 0"),
+    *(("hyper", key, "nan") for key in KEYS["hyper"]),
+    ("hyper", "eta", "-inf"),
+    ("hyper", "lambda_out", "inf"),
+    ("hyper", "lambda_in", "inf"),
+    ("hyper", "lambda_base", "inf"),
+    ("hyper", "omega", "inf"),
+    ("hyper", "lr_lambda", "inf"),
+    ("stream", "class_cov_scale", "nan"),
+    ("stream", "class_cov_scale", "inf"),
+    ("stream", "drift_angle_per_step", "nan"),
+    ("stream", "drift_angle_per_step", "inf"),
+    ("stream", "drift_angle_per_step", "-inf"),
+    ("stream", "corruption_sigma", "nan"),
+    ("stream", "corruption_sigma", "inf"),
+    ("stream", "pi_cov", "nan"),
+    ("stream", "pi_sem", "nan"),
+]
+
+
 @pytest.mark.parametrize(
     "section, key, value",
-    [
-        ("optimizer", "base_lr", "-0.01"),
-        ("optimizer", "base_lr", "0"),
-        ("optimizer", "base_lr", "nan"),
-        ("optimizer", "base_lr", "inf"),
-        ("optimizer", "momentum", "1.5"),
-        ("optimizer", "momentum", "-0.1"),
-        ("optimizer", "momentum", "nan"),
-        ("optimizer", "weight_decay", "-1"),
-        ("optimizer", "weight_decay", "nan"),
-        ("optimizer", "head_lr_scale", "nan"),
-        ("run", "hidden_sizes", "0"),
-        ("run", "hidden_sizes", "-2"),
-        ("run", "hidden_sizes", "8, 0"),
-        *(("hyper", key, "nan") for key in KEYS["hyper"]),
-        ("hyper", "eta", "-inf"),
-        ("hyper", "lambda_out", "inf"),
-        ("hyper", "lambda_in", "inf"),
-        ("hyper", "lambda_base", "inf"),
-        ("hyper", "omega", "inf"),
-        ("hyper", "lr_lambda", "inf"),
-        ("stream", "class_cov_scale", "nan"),
-        ("stream", "class_cov_scale", "inf"),
-        ("stream", "drift_angle_per_step", "nan"),
-        ("stream", "drift_angle_per_step", "inf"),
-        ("stream", "drift_angle_per_step", "-inf"),
-        ("stream", "corruption_sigma", "nan"),
-        ("stream", "corruption_sigma", "inf"),
-        ("stream", "pi_cov", "nan"),
-        ("stream", "pi_sem", "nan"),
+    BAD_VALUES
+    + [
+        (section, key, value)
+        for section, key, value, accepted in declared_range_cases()
+        if not accepted and (section, key, value) not in BAD_VALUES
     ],
 )
 def test_config_rejects_bad_optimizer_and_architecture(section, key, value):
-    # the message names the field, which for [hyper] lambda_in and the [stream]
-    # schedules differs from the key
-    name = KEYS[section][key][0]
-    with pytest.raises(ConfigError, match=rf"\[{section}\]: {name} must be"):
+    # the message names the key, which is the field, and its declared interval
+    interval = re.escape(str(intervals(SECTIONS[section])[key]))
+    with pytest.raises(ConfigError, match=rf"\[{section}\]: {key} must be in {interval}, got "):
         parse_config_text(f"[{section}]\n{key} = {value}\n")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [(s, k, v) for s, k, v, accepted in declared_range_cases() if accepted],
+)
+def test_config_accepts_closed_bounds(section, key, value):
+    spec = parse_config_text(f"[{section}]\n{key} = {value}\n")
+    assert np.ravel(getattr(section_of(spec, section), key))[0] == float(value)
+    assert parse_config_text(serialize_spec(spec)) == spec
 
 
 def test_config_accepts_unbounded_drift_cap_and_tolerance():
@@ -266,6 +319,12 @@ def test_config_accepts_unbounded_drift_cap_and_tolerance():
 def test_default_spec_serializes():
     text = serialize_spec(default_spec())
     assert parse_config_text(text) == default_spec()
+
+
+def test_default_ini_text_pinned():
+    # every key's name, order and default value as the config echo writes them
+    digest = hashlib.sha256(serialize_spec(default_spec()).encode()).hexdigest()
+    assert digest == "fbf5416cd13e42b1b2a1a19efc14d85107f69efe4b5a0e7b75479245fbf98bbd"
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -495,8 +554,8 @@ def test_cli_seeds_flag_empty_item_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "seeds_line, flag, message",
     [
-        ("seeds = 0, -3", [], r"error: \[experiment\]: negative seed -3 in \[0, -3\]"),
-        ("seeds = 0", ["--seeds", "0,-1"], r"error: negative seed -1 in \[0, -1\]"),
+        ("seeds = 0, -3", [], r"error: \[experiment\]: seeds must be in \[0, inf\), got \(0, -3\)"),
+        ("seeds = 0", ["--seeds", "0,-1"], r"error: seeds must be in \[0, inf\), got \(0, -1\)"),
     ],
     ids=["ini_key", "seeds_flag"],
 )
@@ -514,6 +573,32 @@ def test_cli_negative_seed_rejected_before_any_run(
     assert main(["compare", "--config", cfg, "--out", str(out), *flag]) == 1
     assert re.search(message, capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--seeds", ""], "error: at least one seed is required"),
+        (["compare", "--out", ""], "error: --out: empty path"),
+        (["run", "--method", ""], "error: unknown method ''"),
+        (["verify-theory", "--out", ""], "error: --out: empty path"),
+        (["compare", "--config", ""], "error: [Errno 2] No such file or directory: ''"),
+    ],
+    ids=["compare_seeds", "compare_out", "run_method", "verify_theory_out", "compare_config"],
+)
+def test_cli_empty_flag_rejected_before_any_run(tmp_path, capsys, monkeypatch, argv, message):
+    # an empty flag is an error, not a fall-back to the config's value
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran")
+
+    for name in ("initialize", "run_stream", "run_verification_sweep"):
+        monkeypatch.setattr(f"sconelab.cli.{name}", no_run)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, SMALL_RUN)  # out_dir is the default, results
+    config = [] if argv[0] == "verify-theory" or "--config" in argv else ["--config", cfg]
+    assert main([*argv, *config]) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
 
 
 def test_cli_grid_trains_timestep_zero_once_per_seed(tmp_path, monkeypatch):

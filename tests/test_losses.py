@@ -29,7 +29,7 @@ def hp(**kwargs):
 
 
 def test_hyperparams_validation():
-    with pytest.raises(ValueError, match="eta must be negative"):
+    with pytest.raises(ValueError, match=r"eta must be in \(-inf, 0\), got 1.0"):
         hp(eta=1.0)
     with pytest.raises(ValueError):
         hp(omega=0.0)
@@ -118,12 +118,12 @@ def test_empty_energy_batches_rejected(identity_head):
 
 
 def test_alm_in_satisfied_constraint_is_zero():
-    h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
+    h = hp(fpr_cutoff=0.05, lambda_in=4.0)
     assert alm_in(0.05, 3.0, h)[0] == pytest.approx(0.0)
 
 
 def test_alm_in_direct_arithmetic():
-    h = hp(fpr_cutoff=0.05, lambda_in_penalty=4.0)
+    h = hp(fpr_cutoff=0.05, lambda_in=4.0)
     # c = 0.1: 2*0.1 + 2*0.01 = 0.22
     assert alm_in(0.15, 2.0, h) == pytest.approx((0.22, 2.4))
 

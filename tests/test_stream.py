@@ -23,7 +23,7 @@ def cfg(**kwargs):
 
 
 def test_zero_drift_snapshots_identical():
-    c = cfg(drift_angle_per_step=0.0, corruption_sigma_schedule=0.3)
+    c = cfg(drift_angle_per_step=0.0, corruption_sigma=0.3)
     snaps = [make_snapshot(c, 0, t) for t in range(5)]
     for snap in snaps[1:]:
         assert np.array_equal(snap.id_class_means, snaps[0].id_class_means)
@@ -191,19 +191,19 @@ def test_sample_wild_rejects_bad_weights():
 
 def test_stream_config_schedule_validation():
     with pytest.raises(ValueError, match="length"):
-        cfg(pi_cov_schedule=(0.1, 0.2))
+        cfg(pi_cov=(0.1, 0.2))
     with pytest.raises(ValueError, match="pi_cov"):
-        cfg(pi_cov_schedule=0.7, pi_sem_schedule=0.4)
+        cfg(pi_cov=0.7, pi_sem=0.4)
     for name in ("pi_cov", "pi_sem", "corruption_sigma"):
         for bad in (np.nan, np.inf, -0.1):
-            with pytest.raises(ValueError, match=f"{name}_schedule must be"):
-                cfg(**{f"{name}_schedule": bad})
-            with pytest.raises(ValueError, match=f"{name}_schedule must be"):
-                cfg(**{f"{name}_schedule": (0.1, 0.1, bad, 0.1, 0.1)})
+            with pytest.raises(ValueError, match=rf"{name} must be in \[0, inf\)"):
+                cfg(**{name: bad})
+            with pytest.raises(ValueError, match=rf"{name} must be in \[0, inf\)"):
+                cfg(**{name: (0.1, 0.1, bad, 0.1, 0.1)})
     c = cfg(regime="dynamic")
-    assert c.corruption_sigma_schedule[0] == 0.0
-    assert c.corruption_sigma_schedule[-1] == 1.0
-    assert len(c.pi_cov_schedule) == 5
+    assert c.corruption_sigma[0] == 0.0
+    assert c.corruption_sigma[-1] == 1.0
+    assert len(c.pi_cov) == 5
 
 
 def test_timestep_splits_deterministic_and_disjoint_ids():

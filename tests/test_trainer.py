@@ -269,7 +269,7 @@ def test_run_stream_leaves_initialization_unchanged(method):
 
 
 def test_run_config_rejects_negative_seed():
-    with pytest.raises(ValueError, match="negative seed -1"):
+    with pytest.raises(ValueError, match=r"seed must be in \[0, inf\), got -1"):
         small_cfg(seed=-1)
 
 
@@ -315,7 +315,7 @@ def test_separable_snapshot_trains_to_high_accuracy():
             samples_per_split=768,
             class_cov_scale=0.2,
             drift_angle_per_step=0.0,
-            corruption_sigma_schedule=0.2,
+            corruption_sigma=0.2,
         )
         cfg = small_cfg(stream=stream, seed=seed, epochs_per_timestep=10)
         accs.append(run_stream(cfg)[-1].id_acc)
