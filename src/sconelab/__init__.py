@@ -1,7 +1,7 @@
 """Desk-scale open-world training lab: energy-margin OOD objectives with
 temporal confidence regularization on synthetic drifting streams."""
 
-from .config import ExperimentSpec, default_spec, parse_config
+from .config import ExperimentSpec, parse_config
 from .losses import Hyperparams, LossBreakdown
 from .metrics import MetricsRecord, accuracy, fit_threshold, fpr_at_tpr
 from .model import ModelParams, OptimizerConfig, init_params
@@ -11,7 +11,6 @@ from .trainer import METHODS, RunConfig, run_stream
 
 __all__ = [
     "ExperimentSpec",
-    "default_spec",
     "parse_config",
     "Hyperparams",
     "LossBreakdown",

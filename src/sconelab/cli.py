@@ -6,8 +6,7 @@ Subcommands:
   verify-theory  run the divergence/inequality sweep and emit its table
 
 `run` and `compare` take --config PATH, --out DIR and --seeds LIST; `run`
-also takes --method NAME. `verify-theory` takes --out DIR, and
-`--verify-theory` is also accepted as a top-level flag. All outputs are
+also takes --method NAME. `verify-theory` takes --out DIR. All outputs are
 deterministic functions of the config: metrics.csv (one row per
 method/seed/timestep), summary.csv (per-timestep seed means), a config
 echo, and one JSON-lines record stream per run. `run` and `compare` both
@@ -32,7 +31,6 @@ from .config import (
     ExperimentSpec,
     _fmt,
     _parse_value,
-    default_spec,
     parse_config,
     serialize_spec,
 )
@@ -105,7 +103,7 @@ def _out_flag(args) -> str | None:
 
 
 def _load_spec(args) -> ExperimentSpec:
-    spec = default_spec() if args.config is None else parse_config(args.config)
+    spec = ExperimentSpec() if args.config is None else parse_config(args.config)
     updates = {} if _out_flag(args) is None else {"out_dir": args.out}
     if args.seeds is not None:
         try:
@@ -177,12 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--verify-theory" in argv:
-        argv.remove("--verify-theory")
-        argv = ["verify-theory"] + argv
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, OSError, ValueError, FloatingPointError) as exc:

@@ -87,10 +87,6 @@ KEYS = {
 }
 
 
-def default_spec() -> ExperimentSpec:
-    return ExperimentSpec()
-
-
 def _parse_value(raw: str, kind):
     """Parse one INI value as the annotated type `kind`; raises ValueError."""
     if isinstance(kind, types.UnionType):

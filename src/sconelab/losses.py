@@ -144,27 +144,25 @@ def temporal_loss_grad(
 
 
 def total_loss(
-    ce: float,
-    l_out_value: float,
-    alm_in_value: float,
-    l_temp: float,
     hp: Hyperparams,
-    l_in_value: float = 0.0,
+    ce: float,
+    l_in: float = 0.0,
+    l_out: float = 0.0,
+    alm_in: float = 0.0,
+    l_temp: float = 0.0,
     w_temp: float = 0.0,
 ) -> LossBreakdown:
-    """Compose the per-step objective; l_temp already carries its adaptive weight."""
-    parts = (ce, l_out_value, alm_in_value, l_temp)
+    """Compose the per-step objective ce + lambda_out*l_out + alm_in + l_temp.
+
+    The terms come in LossBreakdown's field order. l_temp already carries
+    its adaptive weight w_temp, and l_in enters through alm_in, so neither
+    w_temp nor l_in is added again; both are recorded.
+    """
+    parts = (ce, l_out, alm_in, l_temp)
     if not all(np.isfinite(parts)):
         raise FloatingPointError(f"non-finite loss part: {parts}")
-    return LossBreakdown(
-        ce=ce,
-        l_in=l_in_value,
-        l_out=l_out_value,
-        alm_in=alm_in_value,
-        l_temp=l_temp,
-        w_temp=w_temp,
-        total=ce + hp.lambda_out * l_out_value + alm_in_value + l_temp,
-    )
+    total = ce + hp.lambda_out * l_out + alm_in + l_temp
+    return LossBreakdown(ce, l_in, l_out, alm_in, l_temp, w_temp, total)
 
 
 def update_multipliers(lambda_in_mult: float, l_in_epoch: float, hp: Hyperparams) -> float:

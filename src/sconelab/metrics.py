@@ -21,7 +21,7 @@ import numpy as np
 
 from .losses import LossBreakdown
 from .model import ModelParams, energy, forward
-from .scores import ScoreKind, diff_ac_grad_logits, hard_atc, unit_scores
+from .scores import ScoreKind, diff_ac_grad_logits, hard_atc, unit_scores_grad_logits
 from .stream import TimestepSplits
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def evaluate_timestep(
         ood_acc=accuracy(logits_cov, splits.test_id_y),
         fpr95=fpr,
         lambda_threshold=lam,
-        atc_in=hard_atc(unit_scores(logits_id, score_kind), delta),
-        atc_cov=hard_atc(unit_scores(logits_cov, score_kind), delta),
+        atc_in=hard_atc(unit_scores_grad_logits(logits_id, score_kind)[0], delta),
+        atc_cov=hard_atc(unit_scores_grad_logits(logits_cov, score_kind)[0], delta),
         ac_in=diff_ac_grad_logits(logits_id)[0],
         ac_cov=diff_ac_grad_logits(logits_cov)[0],
         drift_d_id=drift[0],

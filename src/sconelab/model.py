@@ -304,14 +304,6 @@ def log_softmax_energy(logits: np.ndarray):
     return logp, -log_partition[:, 0]
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    return log_softmax_energy(logits)[0]
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
-
-
 def energy(logits: np.ndarray) -> np.ndarray:
     """Per-sample energy -log sum_y exp(z_y), max-shifted for stability."""
     return log_softmax_energy(logits)[1]

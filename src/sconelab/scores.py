@@ -20,7 +20,7 @@ import enum
 
 import numpy as np
 
-from .model import log_softmax, sigmoid
+from .model import log_softmax_energy, sigmoid
 
 
 class ScoreKind(enum.Enum):
@@ -35,7 +35,7 @@ def unit_scores_grad_logits(logits: np.ndarray, kind: ScoreKind):
     entry; ties are broken by the lowest class index (measure zero under
     random logits). For negative entropy, ds/dz_j = p_j (log p_j - r) / log K.
     """
-    logp = log_softmax(np.asarray(logits, dtype=float))
+    logp, _ = log_softmax_energy(logits)
     p = np.exp(logp)
     n, k = p.shape
     if kind is ScoreKind.MAX_CONFIDENCE:
@@ -48,11 +48,6 @@ def unit_scores_grad_logits(logits: np.ndarray, kind: ScoreKind):
     grad = p * (np.where(p > 0.0, logp, 0.0) - r[:, None]) / np.log(k)
     s = (r + np.log(k)) / np.log(k)
     return s, grad
-
-
-def unit_scores(logits: np.ndarray, kind: ScoreKind) -> np.ndarray:
-    """Per-row scores of softmax(logits), mapped monotonically into [0, 1]."""
-    return unit_scores_grad_logits(logits, kind)[0]
 
 
 def atc_threshold(val_scores: np.ndarray, val_correct: np.ndarray) -> float:
@@ -83,7 +78,7 @@ def hard_atc(scores: np.ndarray, delta: float) -> float:
 def diff_atc_grad_logits(logits: np.ndarray, kind: ScoreKind, delta: float, omega: float):
     """Smoothed ATC, mean sigmoid((delta - s)/omega) over the unit scores s,
     and its gradient w.r.t. the logits."""
-    if omega <= 0.0:
+    if not omega > 0.0:
         raise ValueError(f"smoothing width omega must be > 0, got {omega}")
     s, ds_dz = unit_scores_grad_logits(logits, kind)
     n = s.size

@@ -181,7 +181,7 @@ def sample_labeled(snap: DomainSnapshot, n: int, rng: np.random.Generator):
 
 def corrupt(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add i.i.d. zero-mean Gaussian noise per coordinate; sigma=0 is the identity."""
-    if sigma < 0.0:
+    if not sigma >= 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     x = np.asarray(features, dtype=float)
     if sigma == 0.0:

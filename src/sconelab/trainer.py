@@ -35,7 +35,7 @@ distinct-regime golden trajectory pins it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +70,7 @@ from .scores import (
     atc_threshold,
     diff_ac_grad_logits,
     diff_atc_grad_logits,
-    unit_scores,
+    unit_scores_grad_logits,
 )
 from .stream import (
     PURPOSE_EPOCH,
@@ -191,7 +191,8 @@ def _epoch_temporal_term(params, splits, prev_scores, hp, cfg: RunConfig, delta)
 
 
 def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyperparams):
-    """Per-minibatch objective pieces and their parameter gradient.
+    """Per-minibatch objective terms and their parameter gradient: (terms,
+    grads), terms being (ce, l_in, l_out, alm_in) in LossBreakdown's order.
 
     The ID batch feeds cross-entropy and the constrained in-distribution
     energy term; the wild batch feeds the out-energy term. Energy gradients
@@ -218,34 +219,28 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     grads.vec += backward_from_logits(params, acts_w, dz_w).vec
     grads.g_weight = w_alm * dlin_dgw + hp.lambda_out * dlout_dgw
     grads.g_bias = w_alm * dlin_dgb + hp.lambda_out * dlout_dgb
-    return ce, l_in_v, l_out_v, alm_v, grads
+    return (ce, l_in_v, l_out_v, alm_v), grads
 
 
 def _mean_breakdown(parts: list[LossBreakdown], hp: Hyperparams) -> LossBreakdown:
-    """Each term's mean over the minibatches; the total is total_loss of the
-    means, not the mean of the totals."""
-    m = {
-        f.name: float(np.mean([getattr(p, f.name) for p in parts])) if parts else 0.0
-        for f in fields(LossBreakdown)
-        if f.name != "total"
-    }
-    return total_loss(
-        m["ce"], m["l_out"], m["alm_in"], m["l_temp"], hp, l_in_value=m["l_in"], w_temp=m["w_temp"]
-    )
+    """Each term's mean over the minibatches, every term 0.0 when there are
+    none; the total is total_loss of the means, not the mean of the totals."""
+    means = [float(np.mean(column)) for column in zip(*(astuple(p)[:-1] for p in parts))]
+    return total_loss(hp, *(means or [0.0]))
 
 
 def _fit_delta(params, splits, kind: ScoreKind) -> float:
     logits = forward(params, splits.val_x)
-    scores = unit_scores(logits, kind)
+    scores = unit_scores_grad_logits(logits, kind)[0]
     correct = np.argmax(logits, axis=1) == splits.val_y
     return atc_threshold(scores, correct)
 
 
 def _ce_loss_grads(params, xb, yb):
-    """Timestep-0 objective: plain cross-entropy on the ID batch."""
+    """Timestep-0 objective, plain cross-entropy on the ID batch: ((ce,), grads)."""
     logits, acts = forward_cached(params, xb)
     ce, dz = cross_entropy(logits, yb)
-    return ce, backward_from_logits(params, acts, dz)
+    return (ce,), backward_from_logits(params, acts, dz)
 
 
 def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> MetricsRecord:
@@ -297,17 +292,14 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             rows = perm[b * batch : (b + 1) * batch]
             if wild:
                 wb = wild_pool[b * wild_batch : (b + 1) * wild_batch]
-                ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(
+                terms, grads = _minibatch_loss_grads(
                     params, x[rows], y[rows], wb, state.lambda_in_mult, hp
                 )
                 if temporal_active:
                     grads.vec += g_temp_step
             else:
-                ce, grads = _ce_loss_grads(params, x[rows], y[rows])
-                l_in_v = l_out_v = alm_v = 0.0
-            epoch_parts.append(
-                total_loss(ce, l_out_v, alm_v, l_temp, hp, l_in_value=l_in_v, w_temp=w_temp)
-            )
+                terms, grads = _ce_loss_grads(params, x[rows], y[rows])
+            epoch_parts.append(total_loss(hp, *terms, l_temp=l_temp, w_temp=w_temp))
             sgd_step(
                 params, grads, state.momentum, epoch * steps_per_epoch + b, total_steps, optimizer
             )

@@ -17,8 +17,8 @@ from sconelab.config import (
     KEYS,
     SECTIONS,
     ConfigError,
+    ExperimentSpec,
     _fmt,
-    default_spec,
     parse_config,
     parse_config_text,
     serialize_spec,
@@ -157,7 +157,7 @@ def section_of(spec, section):
 @pytest.mark.parametrize("section,key", [(s, k) for s, keys in KEYS.items() for k in keys])
 def test_config_key_lands_in_its_field_and_round_trips(section, key):
     raw, expected = NON_DEFAULT[(section, key)]
-    assert getattr(section_of(default_spec(), section), key) != expected
+    assert getattr(section_of(ExperimentSpec(), section), key) != expected
     spec = parse_config_text(f"[{section}]\n{key} = {raw}\n")
     assert getattr(section_of(spec, section), key) == expected
     assert parse_config_text(serialize_spec(spec)) == spec
@@ -317,13 +317,13 @@ def test_config_accepts_unbounded_drift_cap_and_tolerance():
 
 
 def test_default_spec_serializes():
-    text = serialize_spec(default_spec())
-    assert parse_config_text(text) == default_spec()
+    text = serialize_spec(ExperimentSpec())
+    assert parse_config_text(text) == ExperimentSpec()
 
 
 def test_default_ini_text_pinned():
     # every key's name, order and default value as the config echo writes them
-    digest = hashlib.sha256(serialize_spec(default_spec()).encode()).hexdigest()
+    digest = hashlib.sha256(serialize_spec(ExperimentSpec()).encode()).hexdigest()
     assert digest == "fbf5416cd13e42b1b2a1a19efc14d85107f69efe4b5a0e7b75479245fbf98bbd"
 
 
@@ -495,7 +495,7 @@ def test_cli_json_records_parse(tmp_path):
     assert all(0.0 <= r["fpr95"] <= 1.0 for r in records)
 
 
-def test_cli_verify_theory_flag_and_subcommand(tmp_path, capsys):
+def test_cli_verify_theory_subcommand(tmp_path, capsys):
     out = tmp_path / "thy"
     assert main(["verify-theory", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
@@ -505,7 +505,6 @@ def test_cli_verify_theory_flag_and_subcommand(tmp_path, capsys):
     assert rows[0] == ["property", "trials", "violations", "max_violation", "passed"]
     assert all(row[4] == "true" for row in rows[1:])
     assert all(row[2] == "0" for row in rows[1:])
-    assert main(["--verify-theory"]) == 0
 
 
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):

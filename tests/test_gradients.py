@@ -25,7 +25,7 @@ from sconelab.model import (
     forward,
     forward_cached,
     init_params,
-    softmax,
+    log_softmax_energy,
 )
 from sconelab.scores import (
     ScoreKind,
@@ -53,7 +53,7 @@ MULT = 0.7
 
 
 def _top_two_gap(params, x):
-    p = softmax(forward(params, x))
+    p = np.exp(log_softmax_energy(forward(params, x))[0])
     ordered = np.sort(p, axis=1)
     return float((ordered[:, -1] - ordered[:, -2]).min())
 
@@ -92,7 +92,7 @@ def analytic_ce(params, x, y):
 def analytic_energy_loss(params, x, grad_fn):
     logits, acts = forward_cached(params, x)
     value, de, dgw, dgb = grad_fn(energy(logits), params, HP.eta)
-    grads = backward_from_logits(params, acts, de[:, None] * (-softmax(logits)))
+    grads = backward_from_logits(params, acts, de[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
     grads.g_weight = dgw
     grads.g_bias = dgb
     return value, grads
@@ -102,7 +102,7 @@ def analytic_alm(params, x):
     logits, acts = forward_cached(params, x)
     l_in_v, de, dgw, dgb = loss_in_grad(energy(logits), params, HP.eta)
     value, w = alm_in(l_in_v, MULT, HP)
-    grads = backward_from_logits(params, acts, (w * de)[:, None] * (-softmax(logits)))
+    grads = backward_from_logits(params, acts, (w * de)[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
     grads.g_weight = w * dgw
     grads.g_bias = w * dgb
     return value, grads
@@ -261,7 +261,7 @@ def test_minibatch_composite_gradient():
             l_out_v = loss_out_grad(energy(forward(p, wild)), p, HP.eta)[0]
             return ce + HP.lambda_out * l_out_v + alm_in(l_in_v, MULT, HP)[0]
 
-        ce, l_in_v, l_out_v, alm_v, grads = _minibatch_loss_grads(params, x, y, wild, MULT, HP)
+        (ce, l_in_v, l_out_v, alm_v), grads = _minibatch_loss_grads(params, x, y, wild, MULT, HP)
         assert ce + HP.lambda_out * l_out_v + alm_v == pytest.approx(composite(params), abs=1e-12)
         err = relative_error(grads.vec, fd_param_grad(composite, params, STEP))
         assert err <= TOL, f"composite relative error {err:.3e}"

@@ -183,28 +183,28 @@ def test_temporal_loss_gated_below_tolerance():
 
 def test_total_loss_composition():
     h = hp(lambda_out=0.5)
-    assert total_loss(0.0, 0.0, 0.0, 0.0, h).total == 0.0
-    bd = total_loss(1.0, 0.4, 0.1, 0.0, h)
+    assert total_loss(h, 0.0, 0.0, 0.0, 0.0, 0.0).total == 0.0
+    bd = total_loss(h, 1.0, 0.0, 0.4, 0.1, 0.0)
     assert bd.total == pytest.approx(1.3)
 
 
 def test_total_loss_reconstruction_invariant():
     h = hp(lambda_out=0.7)
-    bd = total_loss(0.83, 0.21, 0.055, 0.0123, h, l_in_value=0.4, w_temp=1.5)
+    bd = total_loss(h, 0.83, 0.4, 0.21, 0.055, 0.0123, 1.5)
     rebuilt = bd.ce + h.lambda_out * bd.l_out + bd.alm_in + bd.l_temp
     assert abs(rebuilt - bd.total) <= 1e-12
 
 
 def test_total_loss_zero_temporal_weight_reduces_to_baseline_objective():
     h0 = hp(lambda_base=0.0)
-    bd = total_loss(0.8, 0.3, 0.05, 0.0, h0, l_in_value=0.2, w_temp=0.0)
+    bd = total_loss(h0, 0.8, 0.2, 0.3, 0.05, 0.0, 0.0)
     assert bd.total == pytest.approx(0.8 + h0.lambda_out * 0.3 + 0.05)
     assert bd.l_temp == 0.0
 
 
 def test_total_loss_rejects_nonfinite_parts():
     with pytest.raises(FloatingPointError):
-        total_loss(np.nan, 0.0, 0.0, 0.0, hp())
+        total_loss(hp(), np.nan, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_update_multipliers_zero_violation():

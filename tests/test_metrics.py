@@ -176,7 +176,7 @@ def _splits(t=1, test_size=120):
 
 
 def _zero_loss():
-    return total_loss(0.0, 0.0, 0.0, 0.0, Hyperparams())
+    return total_loss(Hyperparams(), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_evaluate_zero_weight_model_hits_class_prior():
@@ -205,7 +205,7 @@ def test_evaluate_semantic_equals_id_gives_target_complement_fpr():
 def test_evaluate_loss_breakdown_reconstructs():
     cfg, splits = _splits()
     hp = Hyperparams(lambda_out=0.5)
-    bd = total_loss(1.1, 0.3, 0.07, 0.02, hp, l_in_value=0.4, w_temp=1.2)
+    bd = total_loss(hp, 1.1, 0.4, 0.3, 0.07, 0.02, 1.2)
     params = init_params(5, 4, rng=np.random.default_rng(2))
     record = evaluate_timestep(
         params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), bd

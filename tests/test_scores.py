@@ -11,7 +11,7 @@ from sconelab.scores import (
     diff_ac_grad_logits,
     diff_atc_grad_logits,
     hard_atc,
-    unit_scores,
+    unit_scores_grad_logits,
 )
 
 # A logit this far below the row max has softmax probability exactly 0.
@@ -47,19 +47,22 @@ def brute_force_threshold(scores, correct):
 
 def test_max_confidence_uniform_row():
     logits = np.log(np.full((1, 4), 0.25))
-    assert unit_scores(logits, ScoreKind.MAX_CONFIDENCE)[0] == pytest.approx(0.25)
+    s, _ = unit_scores_grad_logits(logits, ScoreKind.MAX_CONFIDENCE)
+    assert s[0] == pytest.approx(0.25)
 
 
 def test_neg_entropy_one_hot_row():
     # sum p log p = 0 on a one-hot row, the top of the unit scale
     logits = np.array([[0.0, LOG_ZERO, LOG_ZERO]])
-    assert unit_scores(logits, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(1.0, abs=1e-15)
+    s, _ = unit_scores_grad_logits(logits, ScoreKind.NEG_ENTROPY)
+    assert s[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_neg_entropy_uniform_row():
     # sum p log p = -log K on a uniform row, the bottom of the unit scale
     logits = np.log(np.full((1, 4), 0.25))
-    assert unit_scores(logits, ScoreKind.NEG_ENTROPY)[0] == pytest.approx(0.0, abs=1e-15)
+    s, _ = unit_scores_grad_logits(logits, ScoreKind.NEG_ENTROPY)
+    assert s[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_unit_scores_rescale_neg_entropy():
@@ -67,14 +70,14 @@ def test_unit_scores_rescale_neg_entropy():
     logits = np.array(
         [[0.0, 0.0, 0.0, 0.0], [0.0, 0.0, LOG_ZERO, LOG_ZERO], [0.0, LOG_ZERO, LOG_ZERO, LOG_ZERO]]
     )
-    u = unit_scores(logits, ScoreKind.NEG_ENTROPY)
+    u = unit_scores_grad_logits(logits, ScoreKind.NEG_ENTROPY)[0]
     assert u == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
 
 def test_nonfinite_logits_rejected():
     for kind in ScoreKind:
         with pytest.raises(ValueError, match="logits must be finite"):
-            unit_scores(np.array([[0.0, np.inf], [0.0, 1.0]]), kind)
+            unit_scores_grad_logits(np.array([[0.0, np.inf], [0.0, 1.0]]), kind)
 
 
 def test_atc_threshold_all_correct():
@@ -175,7 +178,7 @@ def test_diff_atc_close_to_hard_atc_away_from_threshold():
         maxima = maxima[np.abs(maxima - delta) > 0.01]
         logits = two_mass_logits(maxima, k)
         soft = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta, omega=1e-3)
-        hard = hard_atc(unit_scores(logits, ScoreKind.MAX_CONFIDENCE), delta)
+        hard = hard_atc(unit_scores_grad_logits(logits, ScoreKind.MAX_CONFIDENCE)[0], delta)
         assert abs(soft - hard) <= 1e-3
 
 
@@ -187,7 +190,7 @@ def test_diff_atc_converges_to_hard_atc(omega):
     maxima = maxima[np.abs(maxima - delta) > 0.05]
     logits = two_mass_logits(maxima, 5)
     soft = smoothed_atc(logits, ScoreKind.MAX_CONFIDENCE, delta, omega)
-    hard = hard_atc(unit_scores(logits, ScoreKind.MAX_CONFIDENCE), delta)
+    hard = hard_atc(unit_scores_grad_logits(logits, ScoreKind.MAX_CONFIDENCE)[0], delta)
     # gap shrinks like exp(-0.05/omega)
     assert abs(soft - hard) <= math.exp(-0.05 / omega) + 1e-12
 

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import erf
 
 from sconelab import theory
+from sconelab.scores import ScoreKind, diff_atc_grad_logits
+from sconelab.stream import corrupt
 from sconelab.theory import (
     _chi2_gaussian_quadrature,
     _random_dist_stacks,
@@ -293,6 +295,33 @@ def test_score_dist_tv_validation():
         score_dist_tv(np.array([1.0]), np.array([2.0]), 1)
 
 
+# Each guard is written so that NaN fails it, also for direct callers that
+# bypass the config's knob intervals.
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda: diff_atc_grad_logits(
+                np.random.default_rng(0).normal(size=(8, 4)), ScoreKind.MAX_CONFIDENCE, 0.5, np.nan
+            ),
+            id="diff_atc_omega_nan",
+        ),
+        pytest.param(lambda: chi2_gaussian_shift(0.5, np.nan), id="chi2_gaussian_shift_sigma_nan"),
+        pytest.param(lambda: fisher_info_gaussian(np.nan), id="fisher_info_sigma_nan"),
+        pytest.param(
+            lambda: corrupt(np.zeros((3, 2)), np.nan, np.random.default_rng(0)),
+            id="corrupt_sigma_nan",
+        ),
+        pytest.param(lambda: analytic_gaussian_tv(3.0, -1.0), id="analytic_tv_sigma_negative"),
+        pytest.param(lambda: analytic_gaussian_tv(3.0, 0.0), id="analytic_tv_sigma_zero"),
+        pytest.param(lambda: score_dist_tv([np.nan, 1.0], [0.0, 1.0], 10), id="score_dist_tv_nan"),
+    ],
+)
+def test_direct_callers_reject_nan_and_nonpositive_widths(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_score_dist_tv_gaussian_analytic():
     rng = np.random.default_rng(4)
     a = rng.normal(0.0, 1.0, size=100_000)
@@ -436,6 +465,16 @@ def test_lemma1_stack_shape_mismatch():
         lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 4, 5))
     with pytest.raises(ValueError, match="stack shapes differ"):
         lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 5, 3))
+
+
+def test_sweep_counts_nan_gaps_as_violations(monkeypatch):
+    monkeypatch.setattr(theory, "kl", lambda p, q: np.full(len(p), np.nan))
+    monkeypatch.setattr(theory, "_chi2_gaussian_quadrature", lambda delta, sigma: np.nan)
+    rows = {c.name: c for c in run_verification_sweep(seed=0)}
+    for name in ("kl_tv_chi2_bound", "chi2_gaussian_quadrature"):
+        assert rows[name].violations == rows[name].trials > 0
+        assert not rows[name].passed
+        assert rows[name].to_row()[4] is False
 
 
 def test_sweep_max_violation_is_python_float():

@@ -1,9 +1,17 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
-from sconelab.losses import Hyperparams, loss_in_grad, update_multipliers
+from sconelab.losses import (
+    Hyperparams,
+    LossBreakdown,
+    loss_in_grad,
+    total_loss,
+    update_multipliers,
+)
 from sconelab.metrics import evaluate_timestep, fit_threshold, fpr_at_tpr
 from sconelab.model import OptimizerConfig, energy, forward, init_params
 from sconelab.scores import ScoreKind
@@ -11,6 +19,7 @@ from sconelab.stream import StreamConfig, substream
 from sconelab.trainer import (
     RunConfig,
     RunState,
+    _mean_breakdown,
     _minibatch_loss_grads,
     initialize,
     run_stream,
@@ -63,6 +72,21 @@ def test_train_timestep_zero_epochs_is_identity():
     assert params_equal(state.params, params)
     assert record.t == splits.t
     assert record.loss.total == 0.0
+    assert astuple(record.loss) == (0.0,) * len(fields(LossBreakdown))
+
+
+def test_mean_breakdown_is_fieldwise_mean_and_total_of_the_means():
+    hp = Hyperparams(lambda_out=0.7)
+    r = np.random.default_rng(1)
+    # six distinct terms per part, so a term read from the wrong field shows
+    parts = [total_loss(hp, *r.uniform(0.01, 2.0, size=6).tolist()) for _ in range(3)]
+    mean = _mean_breakdown(parts, hp)
+    terms = [f.name for f in fields(LossBreakdown)][:-1]
+    expected = [float(np.mean([getattr(p, name) for p in parts])) for name in terms]
+    assert [getattr(mean, name) for name in terms] == expected
+    assert mean.total == total_loss(hp, *expected).total
+    # these draws round differently, so the mean of the totals would not pass
+    assert mean.total != np.mean([p.total for p in parts])
 
 
 def test_temporal_loss_constant_within_epoch(monkeypatch):
