@@ -61,6 +61,8 @@ def atc_threshold(val_scores: np.ndarray, val_correct: np.ndarray) -> float:
     n = s.size
     if n == 0 or correct.size != n:
         raise ValueError("need equal-length, nonempty score and correctness vectors")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
     err_rate = float((~correct).mean())
     candidates = np.concatenate([[-np.inf], (s[:-1] + s[1:]) / 2.0, [np.inf]])
     frac_below = np.searchsorted(s, candidates, side="left") / n
@@ -68,10 +70,15 @@ def atc_threshold(val_scores: np.ndarray, val_correct: np.ndarray) -> float:
 
 
 def hard_atc(scores: np.ndarray, delta: float) -> float:
-    """Counting fraction of scores strictly below delta."""
+    """Counting fraction of scores strictly below delta; delta may be
+    infinite, as atc_threshold's sentinels are, but not NaN."""
     s = np.asarray(scores, dtype=float)
     if s.size == 0:
         raise ValueError("empty score vector")
+    if not np.isfinite(s).all():
+        raise ValueError("scores must be finite")
+    if np.isnan(delta):
+        raise ValueError(f"threshold delta must not be NaN, got {delta}")
     return float((s < delta).mean())
 
 

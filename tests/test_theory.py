@@ -5,13 +5,16 @@ import pytest
 from scipy.special import erf
 
 from sconelab import theory
-from sconelab.scores import ScoreKind, diff_atc_grad_logits
+from sconelab.scores import ScoreKind, atc_threshold, diff_atc_grad_logits, hard_atc
 from sconelab.stream import corrupt
 from sconelab.theory import (
+    _TWO_MASS_CHUNK,
     _chi2_gaussian_quadrature,
     _random_dist_stacks,
     _two_mass_decompose,
     _two_mass_draws,
+    _two_mass_rows,
+    _validate_dist,
     analytic_gaussian_tv,
     chi2,
     chi2_gaussian_shift,
@@ -315,6 +318,11 @@ def test_score_dist_tv_validation():
         pytest.param(lambda: analytic_gaussian_tv(3.0, -1.0), id="analytic_tv_sigma_negative"),
         pytest.param(lambda: analytic_gaussian_tv(3.0, 0.0), id="analytic_tv_sigma_zero"),
         pytest.param(lambda: score_dist_tv([np.nan, 1.0], [0.0, 1.0], 10), id="score_dist_tv_nan"),
+        pytest.param(
+            lambda: atc_threshold([np.nan, 0.5, 0.7], [True, False, True]), id="atc_threshold_nan"
+        ),
+        pytest.param(lambda: hard_atc([0.2, np.nan], 0.5), id="hard_atc_scores_nan"),
+        pytest.param(lambda: hard_atc([0.2, 0.5], np.nan), id="hard_atc_delta_nan"),
     ],
 )
 def test_direct_callers_reject_nan_and_nonpositive_widths(call):
@@ -429,14 +437,36 @@ def two_mass_stack(rng, n, k):
     return rng.permuted(stack, axis=1)
 
 
+def layouts(stack):
+    """stack as C-ordered, column-major and strided (a view into a larger
+    array) copies: the row reductions must not depend on the layout."""
+    strided = np.zeros((2 * stack.shape[0], 3 * stack.shape[1]))[::2, ::3]
+    strided[:] = stack
+    copies = [np.ascontiguousarray(stack), np.asfortranarray(stack), strided]
+    assert [c.flags.c_contiguous for c in copies] == [True, False, False]
+    assert [c.flags.f_contiguous for c in copies] == [False, True, False]
+    return copies
+
+
+def test_two_mass_rows_are_column_major():
+    rows = _two_mass_rows(np.array([0.5, 0.9, 0.25]), 4)
+    assert rows.flags.f_contiguous
+    assert rows.tolist() == [two_mass(p, 4).tolist() for p in (0.5, 0.9, 0.25)]
+
+
 def test_lemma1_stack_matches_rows():
     rng = np.random.default_rng(6)
     for k in (2, 3, 9, 16):
         pa, pb = two_mass_stack(rng, 200, k), two_mass_stack(rng, 200, k)
         pb[:20] = pa[:20]  # equality case
-        got = lemma1_check(pa, pb)
-        assert got.dtype == bool and got.shape == (200,)
-        assert got.tolist() == [lemma1_check(a, b) for a, b in zip(pa, pb)]
+        want = [lemma1_check(a, b) for a, b in zip(pa, pb)]
+        want_star = [_two_mass_decompose(a)[0] for a in pa]
+        for a, b in zip(layouts(pa), layouts(pb)):
+            assert _validate_dist(a, rows=True).tobytes() == pa.tobytes()
+            assert _two_mass_decompose(a)[0].tolist() == want_star
+            got = lemma1_check(a, b)
+            assert got.dtype == bool and got.shape == (200,)
+            assert got.tolist() == want
 
 
 @pytest.mark.parametrize(
@@ -446,6 +476,7 @@ def test_lemma1_stack_matches_rows():
         [0.5, 0.3, 0.3],  # sums to 1.1
         [0.5, 0.3, 0.2],  # not two-mass
         [0.5, np.nan, 0.5],  # not finite
+        [0.5, np.inf, 0.5],  # infinite
     ],
 )
 def test_lemma1_stack_bad_row_same_message(bad_row):
@@ -454,9 +485,10 @@ def test_lemma1_stack_bad_row_same_message(bad_row):
     pa[3] = bad_row
     with pytest.raises(ValueError) as single:
         lemma1_check(pa[3], pb[3])
-    with pytest.raises(ValueError) as stacked:
-        lemma1_check(pa, pb)
-    assert str(stacked.value) == str(single.value)
+    for a, b in zip(layouts(pa), layouts(pb)):
+        with pytest.raises(ValueError) as stacked:
+            lemma1_check(a, b)
+        assert str(stacked.value) == str(single.value)
 
 
 def test_lemma1_stack_shape_mismatch():
@@ -475,6 +507,8 @@ def test_sweep_counts_nan_gaps_as_violations(monkeypatch):
         assert rows[name].violations == rows[name].trials > 0
         assert not rows[name].passed
         assert rows[name].to_row()[4] is False
+        # max(0.0, nan) is 0.0, which would report every trial violated by 0
+        assert math.isnan(rows[name].max_violation)
 
 
 def test_sweep_max_violation_is_python_float():
@@ -504,3 +538,23 @@ def test_two_mass_sweep_reports_largest_confidence_rise(monkeypatch):
     assert row.violations == flagged.sum() > 0
     assert row.max_violation == (top_b - top_a)[flagged].max()
     assert not row.passed
+
+
+@pytest.mark.parametrize("chunk", [_TWO_MASS_CHUNK, 1000])
+def test_two_mass_sweep_stacks_stay_within_chunk(monkeypatch, chunk):
+    # The chunk bounds the sweep's peak memory: no stack may hold more rows
+    # than one block of draws, and every trial is checked exactly once. At
+    # 1000 trials a block is smaller than one K's share of all 100k trials,
+    # so a sweep that ignored the chunk would show here.
+    shapes = []
+
+    def recording_check(pa, pb):
+        shapes.append((pa.shape, pb.shape))
+        return lemma1_check(pa, pb)
+
+    monkeypatch.setattr(theory, "_TWO_MASS_CHUNK", chunk)
+    monkeypatch.setattr(theory, "lemma1_check", recording_check)
+    row = {c.name: c for c in run_verification_sweep(seed=2)}["two_mass_entropy_confidence"]
+    assert row.passed
+    assert all(a == b and a[0] <= chunk for a, b in shapes)
+    assert sum(a[0] for a, _ in shapes) == row.trials == 100_000

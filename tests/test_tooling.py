@@ -1,10 +1,21 @@
-"""The repository's pytest configuration, run on throwaway test files."""
+"""Repository tooling: the pytest configuration, run on throwaway test files,
+and what a fresh `import sconelab.cli` loads."""
 
 import subprocess
 import sys
 from pathlib import Path
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints, one a line, the top-level modules that importing sconelab.cli adds.
+IMPORT_CLI = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import sconelab.cli
+print("\\n".join(sorted({name.partition(".")[0] for name in set(sys.modules) - before})))
+"""
 
 # In file order: a failing property, a test that warns, a passing test.
 TESTS = '''
@@ -42,3 +53,18 @@ def test_failing_hypothesis_test_fails_only_itself(tmp_path):
     )
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "2 failed, 1 passed" in proc.stdout
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_sconelab():
+    # Every command starts with this import, so a third-party module reached
+    # from it (scipy, say) is start-up time that each run pays
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_CLI, str(SRC)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"numpy", "sconelab"} <= added
+    assert added - set(sys.stdlib_module_names) == {"numpy", "sconelab"}
