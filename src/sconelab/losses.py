@@ -1,15 +1,17 @@
 """Training loss terms and their composition.
 
-Both energy sigmoids pivot at the margin eta: the in-distribution term is
-mean sigmoid(g(E - eta)) and the wild term is mean sigmoid(-g(E - eta)),
-so for the identity head the two are exact complements. Both are one
-signed function, _margin_grad, under two public names. The constraint on
-the ID term is enforced with an augmented-Lagrangian pair (linear
-multiplier + quadratic penalty) and dual ascent on the multiplier. Each
-term is one function that returns its value with its derivatives. The
-functions here are stateless: the multiplier and the previous timestep's
-probe scores are plain floats that the trainer's RunState carries and
-passes in.
+The energy margins are the squared hinges of Liu et al., "Energy-based
+Out-of-distribution Detection" (NeurIPS 2020): the in-distribution term is
+mean max(0, E - m_in)^2, which pushes ID energies below m_in, and the wild
+term is mean max(0, m_out - E)^2, which pushes wild energies above m_out.
+Both are one signed function, _margin_grad, under two public names. The
+constraint on the ID term is enforced with an augmented-Lagrangian pair
+(linear multiplier + quadratic penalty) and dual ascent on the multiplier,
+so fpr_cutoff bounds the mean squared excess of ID energies over m_in, not
+a rate. Each term is one function that returns its value with its
+derivatives. The functions here are stateless: the multiplier and the
+previous timestep's probe scores are plain floats that the trainer's
+RunState carries and passes in.
 
 The temporal drift penalty is asymmetric: it fires when the ID probe score
 falls below, or the covariate probe score rises above, the value the
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .knobs import check_knobs, knob
-from .model import sigmoid
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,11 @@ class Hyperparams:
 
     lambda_in weighs the augmented Lagrangian's quadratic penalty on the ID
     term; its linear multiplier is RunState.lambda_in_mult, not a knob.
+    m_in and m_out are the energy margins of the ID and wild terms.
     """
 
-    eta: float = knob(-5.0, "(-inf, 0)")
+    m_in: float = knob(-7.0, "(-inf, inf)")
+    m_out: float = knob(-3.0, "(-inf, inf)")
     lambda_out: float = knob(1.0, "[0, inf)")
     lambda_in: float = knob(1.0, "[0, inf)")
     lambda_base: float = knob(1.0, "[0, inf)")
@@ -47,10 +50,12 @@ class Hyperparams:
     epsilon: float = knob(0.02, "[0, inf]")
     omega: float = knob(0.05, "(0, inf)")
     fpr_cutoff: float = knob(0.05, "(0, 1)")
-    lr_lambda: float = knob(0.1, "(0, inf)")
+    lr_lambda: float = knob(0.1, "[0, inf)")
 
     def __post_init__(self):
         check_knobs(self)
+        if self.m_in >= self.m_out:
+            raise ValueError(f"m_in must be below m_out, got {self.m_in} and {self.m_out}")
 
 
 @dataclass(frozen=True)
@@ -64,29 +69,26 @@ class LossBreakdown:
     total: float
 
 
-def _margin_grad(energies: np.ndarray, params, eta: float, side: float):
-    """Mean sigmoid(side * g(E - eta)) and its derivatives; side = +1 is the ID
-    term, -1 the wild term. side multiplies each head derivative after its
-    sum, since a sum of -0.0 entries is +0.0 and would lose a zero's sign."""
+def _margin_grad(energies: np.ndarray, margin: float, side: float):
+    """Mean max(0, side * (E - margin))^2 and its d/dE vector; side = +1 is
+    the ID term, -1 the wild term. The slope is 0 at the margin itself."""
     e = np.asarray(energies, dtype=float)
     if e.size == 0:
         raise ValueError("empty energy batch")
-    s = sigmoid(side * (params.g_weight * (e - eta) + params.g_bias))
-    sp = s * (1.0 - s) / e.size
-    d_gw, d_gb = float((sp * (e - eta)).sum()), float(sp.sum())
-    return float(s.mean()), side * sp * params.g_weight, side * d_gw, side * d_gb
+    excess = np.maximum(side * (e - margin), 0.0)
+    return float(np.mean(excess * excess)), (2.0 * side / e.size) * excess
 
 
-def loss_in_grad(energies_id: np.ndarray, params, eta: float):
-    """Mean sigmoid(g(E - eta)) over an ID batch, small when E sits below
-    eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
-    return _margin_grad(energies_id, params, eta, 1.0)
+def loss_in_grad(energies_id: np.ndarray, hp: Hyperparams):
+    """Mean max(0, E - m_in)^2 over an ID batch, zero once every E sits at or
+    below m_in; returns (value, d/dE vector)."""
+    return _margin_grad(energies_id, hp.m_in, 1.0)
 
 
-def loss_out_grad(energies_wild: np.ndarray, params, eta: float):
-    """Mean sigmoid(-g(E - eta)) over a wild batch, small when E sits above
-    eta; returns (value, d/dE vector, d/dg_weight, d/dg_bias)."""
-    return _margin_grad(energies_wild, params, eta, -1.0)
+def loss_out_grad(energies_wild: np.ndarray, hp: Hyperparams):
+    """Mean max(0, m_out - E)^2 over a wild batch, zero once every E sits at
+    or above m_out; returns (value, d/dE vector)."""
+    return _margin_grad(energies_wild, hp.m_out, -1.0)
 
 
 def alm_in(l_in_value: float, lambda_in_mult: float, hp: Hyperparams) -> tuple[float, float]:

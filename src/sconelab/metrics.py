@@ -1,8 +1,9 @@
 """Threshold detector, FPR-at-TPR, accuracies, and per-timestep records.
 
-Detection uses the raw negated energy (higher means more in-distribution),
-not the learned affine head, so the reported detection metrics stay
-comparable across methods and epochs. The record's fpr95 and threshold
+Detection thresholds the negated energy (higher means more
+in-distribution), the quantity the energy margins train, with no learned
+parameter of its own, so the reported detection metrics stay comparable
+across methods and epochs. The record's fpr95 and threshold
 are fpr_at_tpr's, refit on each timestep's ID test split. The record's ATC
 and AC values are scored from the test logits by the same formula as the
 trainer's probe scores.

@@ -2,8 +2,8 @@
 
 Logits are plain [n, K] float64 arrays. Parameter-shaped quantities
 (gradients, momentum buffers) reuse the ModelParams container, which holds
-everything in one float64 vector laid out as every weight, every bias,
-g_weight, g_bias; its layer arrays are views into it. backward_from_logits
+everything in one float64 vector laid out as every weight, then every
+bias; its layer arrays are views into it. backward_from_logits
 writes into the views of a zeroed vector, gradient sums and sgd_step's
 update are whole-vector operations in place, and the finite-difference
 checks perturb the same vector.
@@ -106,10 +106,6 @@ class OptimizerConfig:
     batch_size: int = knob(128, "[1, inf)")
     decay_milestones: tuple[float, ...] = knob((0.5, 0.75, 0.9), "(0, 1)")
     decay_factor: float = knob(0.5, "(0, 1]")
-    # Slow detector head: an unconstrained affine slope sharpens the sigmoid
-    # surrogates back into the 0/1 losses they replace, which collapses the
-    # energy margins; the head therefore learns at a fraction of the base rate.
-    head_lr_scale: float = knob(0.05, "[0, inf)")
 
     def __post_init__(self):
         check_knobs(self)
@@ -118,30 +114,24 @@ class OptimizerConfig:
             raise ValueError(f"decay_milestones must be strictly increasing, got {ms}")
 
 
-def _vec_entry(index: int) -> property:
-    """A float attribute of ModelParams read from and written to vec[index]."""
-    return property(lambda p: float(p.vec[index]), lambda p, value: p.vec.__setitem__(index, value))
-
-
 class ModelParams:
-    """All learnable state: MLP layers plus the affine detector head.
+    """All learnable state: the MLP's layers.
 
-    Everything lives in one float64 vector `vec`: every weight matrix, every
-    bias, then g_weight and g_bias. layer_weights and layer_biases are
-    tuples of views into vec, so writing into an array writes vec, and
-    g_weight and g_bias read and write vec[-2] and vec[-1]. The layout is
-    computed once by the constructor; copy and zeros_like share it.
+    Everything lives in one float64 vector `vec`: every weight matrix, then
+    every bias. layer_weights and layer_biases are tuples of views into vec,
+    so writing into an array writes vec. The layout is computed once by the
+    constructor; copy and zeros_like share it.
     """
 
     __slots__ = ("vec", "layer_weights", "layer_biases", "_layout")
 
-    def __init__(self, layer_weights, layer_biases, g_weight: float = 1.0, g_bias: float = 0.0):
+    def __init__(self, layer_weights, layer_biases):
         arrays = [np.asarray(a, dtype=float) for a in (*layer_weights, *layer_biases)]
         layout, i = [], 0
         for a in arrays:
             layout.append((slice(i, i + a.size), a.shape))
             i += a.size
-        vec = np.concatenate([*(a.ravel() for a in arrays), [g_weight, g_bias]])
+        vec = np.concatenate([a.ravel() for a in arrays])
         self._bind(vec, tuple(layout), len(layer_weights))
 
     def _bind(self, vec: np.ndarray, layout, num_layers: int) -> "ModelParams":
@@ -153,9 +143,6 @@ class ModelParams:
     def _wrap(self, vec: np.ndarray) -> "ModelParams":
         """A ModelParams over vec, which has this one's layout."""
         return ModelParams.__new__(ModelParams)._bind(vec, self._layout, len(self.layer_weights))
-
-    g_weight = _vec_entry(-2)
-    g_bias = _vec_entry(-1)
 
     @property
     def input_dim(self) -> int:
@@ -172,7 +159,7 @@ class ModelParams:
         return self._wrap(np.zeros(self.vec.size))
 
     def named_arrays(self):
-        """Yield (name, array) for every tensor; scalars excluded."""
+        """Yield (name, array) for every layer array, which together cover vec."""
         for i, w in enumerate(self.layer_weights):
             yield f"layer_weights[{i}]", w
         for i, b in enumerate(self.layer_biases):
@@ -180,10 +167,7 @@ class ModelParams:
 
 
 def init_params(input_dim, num_classes, hidden_sizes=(64, 64), rng=None) -> ModelParams:
-    """Symmetric uniform init scaled by 1/sqrt(fan_in); zero biases.
-
-    The detector head starts as the identity (g_weight=1, g_bias=0).
-    """
+    """Symmetric uniform init scaled by 1/sqrt(fan_in); zero biases."""
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if input_dim < 1:
@@ -195,7 +179,7 @@ def init_params(input_dim, num_classes, hidden_sizes=(64, 64), rng=None) -> Mode
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return ModelParams(weights, biases, 1.0, 0.0)
+    return ModelParams(weights, biases)
 
 
 def _check_features(params: ModelParams, features) -> np.ndarray:
@@ -259,8 +243,7 @@ def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) 
     """Backpropagate a [n, K] logits gradient into a parameter gradient.
 
     Each layer's gradient is written into the views of one zeroed vector,
-    params.zeros_like(). The detector-head entries of the result are zero;
-    head gradients are accumulated separately by the energy losses.
+    params.zeros_like().
     """
     grads = params.zeros_like()
     delta = np.asarray(dlogits, dtype=float)
@@ -354,7 +337,7 @@ def sgd_step(
     """One Nesterov-momentum step, in place on params.vec and momentum.vec.
 
     Weight decay is added to the gradient of the MLP weight matrices only
-    (not biases, not the detector head). Buffers follow the common
+    (not biases). Buffers follow the common
     buf = mu*buf + g; step = g + mu*buf convention. grads is not written.
     A non-finite gradient raises ValueError before anything is written. A
     non-finite result raises FloatingPointError after the update, so params
@@ -363,8 +346,8 @@ def sgd_step(
     if step_index >= total_steps:
         raise ValueError(f"step_index {step_index} out of range for {total_steps} steps")
     if not np.isfinite(grads.vec).all():
-        bad = [name for name, a in grads.named_arrays() if not np.isfinite(a).all()]
-        raise ValueError(f"non-finite gradient in {(bad or ['detector head'])[0]}")
+        bad = next(name for name, a in grads.named_arrays() if not np.isfinite(a).all())
+        raise ValueError(f"non-finite gradient in {bad}")
 
     lr = learning_rate(step_index, total_steps, cfg)
     mu = cfg.momentum
@@ -376,8 +359,7 @@ def sgd_step(
     buf += g
     step = mu * buf
     step += g
-    step[:-2] *= lr
-    step[-2:] *= lr * cfg.head_lr_scale
+    step *= lr
     theta -= step
     if not np.isfinite(theta).all():
         raise FloatingPointError("non-finite parameter after update step")

@@ -25,12 +25,6 @@ its own through the same initialize.
 The plain energy-margin baseline ("scone") runs the identical code path
 with the temporal weight forced to zero, which keeps its trajectory
 bitwise comparable to the temporally regularized variants.
-
-In the distinct regime every timestep from t = 2 on draws a fresh domain
-geometry (t = 1 revisits the initialization domain), which the inherited
-model must relearn within one timestep's budget; those timesteps train at
-DISTINCT_LR_BOOST times base_lr. No config key reaches the factor; the
-distinct-regime golden trajectory pins it.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ from .scores import (
 from .stream import (
     PURPOSE_EPOCH,
     PURPOSE_INIT,
-    REGIME_DISTINCT,
     StreamConfig,
     TimestepSplits,
     make_timestep_splits,
@@ -86,8 +79,6 @@ METHOD_SCONE = "scone"
 METHOD_TEMP_ATC = "temp_scone_atc"
 METHOD_TEMP_AC = "temp_scone_ac"
 METHODS = (METHOD_SCONE, METHOD_TEMP_ATC, METHOD_TEMP_AC)
-
-DISTINCT_LR_BOOST = 5.0
 
 
 @dataclass
@@ -203,7 +194,7 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     logits_id, acts_id = forward_cached(params, xb)
     logp_id, e_id = log_softmax_energy(logits_id)
     probs_id = np.exp(logp_id)
-    l_in_v, dlin_de, dlin_dgw, dlin_dgb = loss_in_grad(e_id, params, hp.eta)
+    l_in_v, dlin_de = loss_in_grad(e_id, hp)
     alm_v, w_alm = alm_in(l_in_v, lambda_in_mult, hp)
     # taken before cross_entropy_from_log_softmax turns probs_id into its gradient
     dz_energy = (w_alm * dlin_de)[:, None] * probs_id
@@ -213,12 +204,10 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
 
     logits_w, acts_w = forward_cached(params, wild_b)
     logp_w, e_w = log_softmax_energy(logits_w)
-    l_out_v, dlout_de, dlout_dgw, dlout_dgb = loss_out_grad(e_w, params, hp.eta)
+    l_out_v, dlout_de = loss_out_grad(e_w, hp)
     dz_w = np.exp(logp_w, out=logp_w)
     dz_w *= (-(hp.lambda_out * dlout_de))[:, None]
     grads.vec += backward_from_logits(params, acts_w, dz_w).vec
-    grads.g_weight = w_alm * dlin_dgw + hp.lambda_out * dlout_dgw
-    grads.g_bias = w_alm * dlin_dgb + hp.lambda_out * dlout_dgb
     return (ce, l_in_v, l_out_v, alm_v), grads
 
 
@@ -254,13 +243,10 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     scores and the record use the delta from before the refit.
     """
     hp = cfg.effective_hyper()
-    optimizer = cfg.optimizer
-    if cfg.stream.regime == REGIME_DISTINCT and splits.t >= 2:
-        optimizer = replace(optimizer, base_lr=optimizer.base_lr * DISTINCT_LR_BOOST)
     params = state.params
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
-    batch = min(optimizer.batch_size, n)
+    batch = min(cfg.optimizer.batch_size, n)
     steps_per_epoch = max(1, n // batch)
     total_steps = max(1, cfg.epochs_per_timestep * steps_per_epoch)
 
@@ -300,13 +286,12 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             else:
                 terms, grads = _ce_loss_grads(params, x[rows], y[rows])
             epoch_parts.append(total_loss(hp, *terms, l_temp=l_temp, w_temp=w_temp))
-            sgd_step(
-                params, grads, state.momentum, epoch * steps_per_epoch + b, total_steps, optimizer
-            )
+            step_index = epoch * steps_per_epoch + b
+            sgd_step(params, grads, state.momentum, step_index, total_steps, cfg.optimizer)
         last_epoch_parts = epoch_parts
 
         if wild:
-            l_in_full = loss_in_grad(energy(forward(params, x)), params, hp.eta)[0]
+            l_in_full = loss_in_grad(energy(forward(params, x)), hp)[0]
             state.lambda_in_mult = update_multipliers(state.lambda_in_mult, l_in_full, hp)
 
     if wild:

@@ -74,16 +74,17 @@ def test_minimal_config_populates_documented_defaults():
     run = spec.base_run
     assert run.stream.num_timesteps == 10
     assert run.stream.pi_cov == (0.3,) * 10
-    assert run.hyper.eta == -5.0
+    assert (run.hyper.m_in, run.hyper.m_out) == (-7.0, -3.0)
     assert run.epochs_per_timestep == 10
     assert run.optimizer.momentum == 0.9
     assert run.optimizer.weight_decay == 0.0005
     assert run.optimizer.batch_size == 128
 
 
-def test_config_eta_must_be_negative():
-    with pytest.raises(ConfigError, match=r"\[hyper\]: eta must be in \(-inf, 0\), got 1.0"):
-        parse_config_text(MINIMAL + "\n[hyper]\neta = 1.0\n")
+def test_config_margins_must_be_ordered():
+    for key, value, got in (("m_in", -3.0, "-3.0 and -3.0"), ("m_out", -8.0, "-7.0 and -8.0")):
+        with pytest.raises(ConfigError, match=rf"\[hyper\]: m_in must be below m_out, got {got}"):
+            parse_config_text(MINIMAL + f"\n[hyper]\n{key} = {value}\n")
 
 
 def test_config_unknown_key_and_section_rejected():
@@ -128,8 +129,8 @@ NON_DEFAULT = {
     ("optimizer", "batch_size"): ("64", 64),
     ("optimizer", "decay_milestones"): ("0.3, 0.6", (0.3, 0.6)),
     ("optimizer", "decay_factor"): ("0.25", 0.25),
-    ("optimizer", "head_lr_scale"): ("0.1", 0.1),
-    ("hyper", "eta"): ("-3.0", -3.0),
+    ("hyper", "m_in"): ("-8.0", -8.0),
+    ("hyper", "m_out"): ("-2.0", -2.0),
     ("hyper", "lambda_out"): ("2.0", 2.0),
     ("hyper", "lambda_in"): ("0.5", 0.5),
     ("hyper", "lambda_base"): ("0.5", 0.5),
@@ -262,12 +263,12 @@ BAD_VALUES = [
     ("optimizer", "momentum", "nan"),
     ("optimizer", "weight_decay", "-1"),
     ("optimizer", "weight_decay", "nan"),
-    ("optimizer", "head_lr_scale", "nan"),
     ("run", "hidden_sizes", "0"),
     ("run", "hidden_sizes", "-2"),
     ("run", "hidden_sizes", "8, 0"),
     *(("hyper", key, "nan") for key in KEYS["hyper"]),
-    ("hyper", "eta", "-inf"),
+    ("hyper", "m_in", "-inf"),
+    ("hyper", "m_out", "inf"),
     ("hyper", "lambda_out", "inf"),
     ("hyper", "lambda_in", "inf"),
     ("hyper", "lambda_base", "inf"),
@@ -324,7 +325,7 @@ def test_default_spec_serializes():
 def test_default_ini_text_pinned():
     # every key's name, order and default value as the config echo writes them
     digest = hashlib.sha256(serialize_spec(ExperimentSpec()).encode()).hexdigest()
-    assert digest == "fbf5416cd13e42b1b2a1a19efc14d85107f69efe4b5a0e7b75479245fbf98bbd"
+    assert digest == "95927a87903b5d2dd26ff0e802455b2fe35c13cdb3a5514483c310e2010a7b6c"
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -401,12 +402,12 @@ def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
 # except the config echo, which records the output directory. A changed
 # record value, column, cell format or file name shows up here.
 SMALL_RUN_DIGESTS = {
-    "metrics.csv": "6553ab0e43ecb8fecf34cc7d46c710b998140a1c17e2d8f5092f2d8848945c7c",
-    "summary.csv": "83877b835c279814c560b811503a87cd10521bd5c16523b07181e79b34593158",
-    "run-scone-seed0.jsonl": "d4d69c9f8f1be9b8531ceb46ff56068e51c5067c909e5f7186bab16e3ccb184b",
-    "run-scone-seed1.jsonl": "7684a8289caee9ac40dee90d8165c1d7313aff455e9b7a71188c598ee44b985d",
-    "run-temp_scone_atc-seed0.jsonl": "b1076ddfeda15dd3efb9b54800118e0b050c42bc468bcdabfd0d0f77f889b02e",
-    "run-temp_scone_atc-seed1.jsonl": "5d7d39e7b684adc75591f559d3fdb6cc1eb7b98f219b7697a97e7bfdb5a73285",
+    "metrics.csv": "e3ba54e652fa50eb7302940687ab1ddf24f90cc78da96fb36fcffa85139ac639",
+    "summary.csv": "c406683974e2a586b6a83a4810ac519f3f3a97bed99cd6baeb7b8ac526154d33",
+    "run-scone-seed0.jsonl": "a8b913f92f6ec32b2b21f627c22cc6e167fa8dc5ee5e3dc23cb0e0b0f09c9058",
+    "run-scone-seed1.jsonl": "624f0eb6e33a151778a9beba12b3b2ceaf713d62df902874f98fc69d445d85bc",
+    "run-temp_scone_atc-seed0.jsonl": "e44b595852fdf52241d40c3668c107c9ed502cf18de273f35c9cef6b6e8c9881",
+    "run-temp_scone_atc-seed1.jsonl": "4be0aa547e904eba4c656dbbb530eec5424bcf52294b471b6e33a3c3ef705cbf",
 }
 
 

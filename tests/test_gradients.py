@@ -5,11 +5,12 @@ batch, then compares the analytic parameter gradient of each loss term
 against central differences over every parameter entry.
 """
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from gradcheck import fd_param_grad, relative_error
+from gradcheck import fd_grad, fd_param_grad, relative_error
 
 from sconelab.losses import (
     Hyperparams,
@@ -42,9 +43,10 @@ from sconelab.trainer import (
 STEP = 1e-4
 TOL = 1e-4
 
-# Interior-ramp hyperparameters: keep the sigmoids un-saturated and the
-# temporal hinge away from its kinks so finite differences are clean.
-HP = Hyperparams(eta=-2.0, delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1.0)
+# Interior-ramp hyperparameters: keep the temporal hinge away from its kinks
+# so finite differences are clean. Each case places the energy margins
+# between energies of its own batches (straddling_hp).
+HP = Hyperparams(delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1.0)
 # Past-cap hyperparameters: delta_max sits well below the total drift of 0.2
 # that temporal_setup builds, so the temporal weight is clamped at
 # 2*lambda_base and the penalty is 2*lambda_base*d_tot.
@@ -73,8 +75,6 @@ def random_case(seed):
         params = init_params(d, k, hidden_sizes=hidden, rng=r)
         for w in params.layer_weights:
             w *= 3.0
-        params.g_weight = float(r.uniform(0.5, 1.5))
-        params.g_bias = float(r.uniform(-0.3, 0.3))
         x = r.normal(scale=1.5, size=(6, d))
         y = r.integers(0, k, size=6)
         x_cov = x + r.normal(scale=0.3, size=x.shape)
@@ -89,22 +89,29 @@ def analytic_ce(params, x, y):
     return value, backward_from_logits(params, acts, dz)
 
 
-def analytic_energy_loss(params, x, grad_fn):
+def straddling_hp(e_in, e_wild, hp=HP):
+    """hp with m_in halfway between the 2nd and 3rd lowest of e_in and m_out
+    halfway between the 2nd and 3rd highest of e_wild: each hinge has
+    energies on both sides, none within half an energy gap of its kink."""
+    lo, hi = np.sort(e_in), np.sort(e_wild)
+    out = replace(hp, m_in=(lo[1] + lo[2]) / 2, m_out=(hi[-3] + hi[-2]) / 2)
+    for e, margin in ((e_in, out.m_in), (e_wild, out.m_out)):
+        assert (e < margin).any() and (e > margin).any()
+    return out
+
+
+def analytic_energy_loss(params, x, grad_fn, hp):
     logits, acts = forward_cached(params, x)
-    value, de, dgw, dgb = grad_fn(energy(logits), params, HP.eta)
+    value, de = grad_fn(energy(logits), hp)
     grads = backward_from_logits(params, acts, de[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
-    grads.g_weight = dgw
-    grads.g_bias = dgb
     return value, grads
 
 
-def analytic_alm(params, x):
+def analytic_alm(params, x, hp):
     logits, acts = forward_cached(params, x)
-    l_in_v, de, dgw, dgb = loss_in_grad(energy(logits), params, HP.eta)
-    value, w = alm_in(l_in_v, MULT, HP)
+    l_in_v, de = loss_in_grad(energy(logits), hp)
+    value, w = alm_in(l_in_v, MULT, hp)
     grads = backward_from_logits(params, acts, (w * de)[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
-    grads.g_weight = w * dgw
-    grads.g_bias = w * dgb
     return value, grads
 
 
@@ -154,6 +161,8 @@ def check_case(seed):
     """Returns {loss name: relative error} for one random case."""
     r, params, x, y, x_cov = random_case(seed)
     delta = float(r.uniform(0.35, 0.75))
+    e = energy(forward(params, x))
+    hp = straddling_hp(e, e)
     errors = {}
 
     _, grads = analytic_ce(params, x, y)
@@ -161,23 +170,18 @@ def check_case(seed):
         grads.vec, fd_param_grad(lambda p: cross_entropy(forward(p, x), y)[0], params, STEP)
     )
 
-    _, grads = analytic_energy_loss(params, x, loss_in_grad)
-    errors["loss_in"] = relative_error(
-        grads.vec,
-        fd_param_grad(lambda p: loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
-    )
+    for name, grad_fn in (("loss_in", loss_in_grad), ("loss_out", loss_out_grad)):
+        _, grads = analytic_energy_loss(params, x, grad_fn, hp)
+        errors[name] = relative_error(
+            grads.vec,
+            fd_param_grad(lambda p: grad_fn(energy(forward(p, x)), hp)[0], params, STEP),
+        )
 
-    _, grads = analytic_energy_loss(params, x, loss_out_grad)
-    errors["loss_out"] = relative_error(
-        grads.vec,
-        fd_param_grad(lambda p: loss_out_grad(energy(forward(p, x)), p, HP.eta)[0], params, STEP),
-    )
-
-    _, grads = analytic_alm(params, x)
+    _, grads = analytic_alm(params, x, hp)
     errors["alm_in"] = relative_error(
         grads.vec,
         fd_param_grad(
-            lambda p: alm_in(loss_in_grad(energy(forward(p, x)), p, HP.eta)[0], MULT, HP)[0],
+            lambda p: alm_in(loss_in_grad(energy(forward(p, x)), hp)[0], MULT, hp)[0],
             params,
             STEP,
         ),
@@ -248,21 +252,57 @@ def test_temporal_gradient_past_drift_cap():
         assert err <= TOL, f"{name} past the cap: relative error {err:.3e} exceeds {TOL}"
 
 
+def test_hinge_energy_slope_matches_finite_differences():
+    """Each hinge's d/dE matches central differences of its value, with
+    energies on both sides of its margin."""
+    offsets = np.array([-2.3, -0.7, -0.05, 0.04, 0.6, 1.9])
+    for grad_fn, margin in ((loss_in_grad, HP.m_in), (loss_out_grad, HP.m_out)):
+        e = margin + offsets
+        value, d_e = grad_fn(e, HP)
+        assert value > 0.0 and (d_e == 0.0).sum() == 3  # three energies on the flat side
+        numeric = fd_grad(lambda v: grad_fn(v, HP)[0], e.copy(), STEP)
+        assert relative_error(d_e, numeric) <= TOL
+
+
+def test_hinge_slope_is_zero_on_the_margin():
+    for grad_fn, margin in ((loss_in_grad, HP.m_in), (loss_out_grad, HP.m_out)):
+        value, d_e = grad_fn(np.array([margin, margin - 1.0, margin + 1.0]), HP)
+        assert value == pytest.approx(1.0 / 3.0)
+        assert d_e[0] == 0.0 and np.count_nonzero(d_e) == 1
+
+
 def test_minibatch_composite_gradient():
-    """The trainer's per-minibatch gradient matches finite differences of the
-    composed objective it reports."""
-    for seed in range(5):
-        r, params, x, y, _ = random_case(500 + seed)
+    """The trainer's per-minibatch gradient, with the epoch temporal term
+    folded in, matches finite differences of the composed objective it
+    reports, on the drift ramp and past the drift cap."""
+    delta = 0.6
+    kind = ScoreKind.MAX_CONFIDENCE
+    for seed, base_hp in itertools.product(range(5), (HP, HP_PAST_CAP)):
+        r, params, x, y, x_cov = random_case(500 + seed)
         wild = r.normal(scale=1.5, size=(7, params.input_dim))
+        hp = straddling_hp(energy(forward(params, x)), energy(forward(params, wild)), base_hp)
+        prev_scores = temporal_setup(params, x, x_cov, "atc", kind, delta)
+        temporal = numeric_temporal_fn(x, x_cov, prev_scores, "atc", kind, delta, hp=hp)
+
+        class FakeSplits:
+            probe_in, probe_cov = x, x_cov
 
         def composite(p):
             ce, _ = cross_entropy(forward(p, x), y)
-            l_in_v = loss_in_grad(energy(forward(p, x)), p, HP.eta)[0]
-            l_out_v = loss_out_grad(energy(forward(p, wild)), p, HP.eta)[0]
-            return ce + HP.lambda_out * l_out_v + alm_in(l_in_v, MULT, HP)[0]
+            l_in_v = loss_in_grad(energy(forward(p, x)), hp)[0]
+            l_out_v = loss_out_grad(energy(forward(p, wild)), hp)[0]
+            return ce + hp.lambda_out * l_out_v + alm_in(l_in_v, MULT, hp)[0] + temporal(p)
 
-        (ce, l_in_v, l_out_v, alm_v), grads = _minibatch_loss_grads(params, x, y, wild, MULT, HP)
-        assert ce + HP.lambda_out * l_out_v + alm_v == pytest.approx(composite(params), abs=1e-12)
+        # one step per epoch, so the step takes the whole epoch temporal gradient
+        cfg = RunConfig(hyper=hp, method=METHOD_TEMP_ATC, score_kind=kind)
+        (ce, _, l_out_v, alm_v), grads = _minibatch_loss_grads(params, x, y, wild, MULT, hp)
+        l_temp, _, _, _, g_temp = _epoch_temporal_term(
+            params, FakeSplits, prev_scores, hp, cfg, delta
+        )
+        assert l_temp > 0.0
+        grads.vec += g_temp.vec
+        reported = ce + hp.lambda_out * l_out_v + alm_v + l_temp
+        assert reported == pytest.approx(composite(params), abs=1e-12)
         err = relative_error(grads.vec, fd_param_grad(composite, params, STEP))
         assert err <= TOL, f"composite relative error {err:.3e}"
 

@@ -150,7 +150,6 @@ def test_sgd_zero_gradient_is_fixed_point():
     sgd_step(params, params.zeros_like(), params.zeros_like(), 0, 10, cfg)
     for (_, a), (_, b) in zip(params.named_arrays(), before.named_arrays()):
         assert np.array_equal(a, b)
-    assert params.g_weight == before.g_weight and params.g_bias == before.g_bias
 
 
 def test_sgd_plain_gradient_descent():
@@ -207,7 +206,6 @@ def test_init_dimensions_chain():
     assert shapes == [(7, 10), (10, 5), (5, 4)]
     assert params.input_dim == 7 and params.num_classes == 4
     assert np.isfinite(params.vec).all()
-    assert params.g_weight == 1.0 and params.g_bias == 0.0
 
 
 def test_optimizer_config_validation():
@@ -277,14 +275,12 @@ def test_shared_log_partition_matches_reference_formulas(seed, n, k, scale):
 
 def test_params_buffer_contract():
     params = init_params(3, 2, hidden_sizes=(4,), rng=rng(12))
-    params.g_weight, params.g_bias = 1.5, -0.25
     vec = params.vec
-    assert vec.dtype == np.float64 and vec.shape == (3 * 4 + 4 * 2 + 4 + 2 + 2,)
+    assert vec.dtype == np.float64 and vec.shape == (3 * 4 + 4 * 2 + 4 + 2,)
     assert bits(vec[:12]) == bits(params.layer_weights[0])
     assert bits(vec[12:20]) == bits(params.layer_weights[1])
     assert bits(vec[20:24]) == bits(params.layer_biases[0])
     assert bits(vec[24:26]) == bits(params.layer_biases[1])
-    assert bits(vec[-2:]) == bits([1.5, -0.25])
     assert [w.shape for w in params.layer_weights] == [(3, 4), (4, 2)]
     assert [b.shape for b in params.layer_biases] == [(4,), (2,)]
     assert all(np.shares_memory(a, vec) for _, a in params.named_arrays())
@@ -295,10 +291,6 @@ def test_params_buffer_contract():
         assert not np.shares_memory(other.vec, vec)
     assert bits(params.copy().vec) == bits(vec)
     assert not params.zeros_like().vec.any()
-    params.g_weight = 2.5
-    assert vec[-2] == 2.5 and params.g_weight == 2.5
-    params.g_bias = 0.75
-    assert vec[-1] == 0.75 and params.g_bias == 0.75
     params.layer_biases[0][1] = 3.0
     assert vec[21] == 3.0
     with pytest.raises(TypeError):
@@ -326,18 +318,7 @@ def per_array_sgd_step(params, grads, momentum, step_index, total_steps, cfg):
         buf = mu * buf + g
         new_mom.layer_biases[i][...] = buf
         new_b.append(b - lr * (g + mu * buf))
-    buf_gw = mu * momentum.g_weight + grads.g_weight
-    buf_gb = mu * momentum.g_bias + grads.g_bias
-    new_mom.g_weight = buf_gw
-    new_mom.g_bias = buf_gb
-    head_lr = lr * cfg.head_lr_scale
-    out = ModelParams(
-        new_w,
-        new_b,
-        params.g_weight - head_lr * (grads.g_weight + mu * buf_gw),
-        params.g_bias - head_lr * (grads.g_bias + mu * buf_gb),
-    )
-    return out, new_mom
+    return ModelParams(new_w, new_b), new_mom
 
 
 def random_like(template, r, scale):
@@ -345,7 +326,6 @@ def random_like(template, r, scale):
     for arrays in (out.layer_weights, out.layer_biases):
         for i, a in enumerate(arrays):
             arrays[i][...] = r.normal(scale=scale, size=a.shape)
-    out.g_weight, out.g_bias = r.normal(scale=scale, size=2)
     return out
 
 
@@ -356,7 +336,6 @@ def random_like(template, r, scale):
     num_classes=st.integers(2, 9),
     mu=st.floats(min_value=0.0, max_value=0.99),
     weight_decay=st.floats(min_value=0.0, max_value=0.1),
-    head_lr_scale=st.floats(min_value=0.0, max_value=2.0),
     base_lr=st.floats(min_value=1e-6, max_value=1.0),
     milestones=st.lists(
         st.floats(min_value=0.01, max_value=0.99), min_size=0, max_size=3, unique=True
@@ -372,7 +351,6 @@ def test_sgd_step_matches_per_array_update(
     num_classes,
     mu,
     weight_decay,
-    head_lr_scale,
     base_lr,
     milestones,
     total_steps,
@@ -380,14 +358,12 @@ def test_sgd_step_matches_per_array_update(
 ):
     r = rng(seed)
     params = init_params(input_dim, num_classes, hidden_sizes=hidden, rng=r)
-    params.g_weight, params.g_bias = r.normal(size=2)
     grads = random_like(params, r, 1.0)
     momentum = random_like(params, r, 0.5)
     cfg = OptimizerConfig(
         base_lr=base_lr,
         momentum=mu,
         weight_decay=weight_decay,
-        head_lr_scale=head_lr_scale,
         decay_milestones=tuple(sorted(milestones)),
     )
     step = int(step_frac * total_steps)
@@ -402,32 +378,20 @@ def test_sgd_step_matches_per_array_update(
         assert bits(*(a for _, a in got.named_arrays())) == bits(
             *(a for _, a in want.named_arrays())
         )
-        assert bits(got.g_weight, got.g_bias) == bits(want.g_weight, want.g_bias)
 
 
-@pytest.mark.parametrize("where", ["layer_weights", "layer_biases", "g_bias"])
+@pytest.mark.parametrize("where", ["layer_weights", "layer_biases"])
 def test_sgd_rejected_gradient_writes_nothing(where):
     r = rng(15)
     params = init_params(3, 2, rng=r)
     grads = random_like(params, r, 1.0)
     momentum = random_like(params, r, 0.5)
-    if where == "g_bias":
-        grads.g_bias = np.nan
-    else:
-        getattr(grads, where)[-1][0] = np.inf
+    getattr(grads, where)[-1][0] = np.inf
     params_before, momentum_before = bits(params.vec), bits(momentum.vec)
     with pytest.raises(ValueError, match="non-finite gradient"):
         sgd_step(params, grads, momentum, 0, 1, OptimizerConfig())
     assert bits(params.vec) == params_before
     assert bits(momentum.vec) == momentum_before
-
-
-def test_sgd_rejects_nonfinite_head_gradient():
-    params = init_params(3, 2, rng=rng(13))
-    grads = params.zeros_like()
-    grads.g_bias = np.inf
-    with pytest.raises(ValueError, match="non-finite gradient in detector head"):
-        sgd_step(params, grads, params.zeros_like(), 0, 1, OptimizerConfig())
 
 
 def test_sgd_rejects_overflowing_update():

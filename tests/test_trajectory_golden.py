@@ -57,7 +57,6 @@ def trace_digest(trace) -> str:
     for p in trace:
         for a in [*p.layer_weights, *p.layer_biases]:
             h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-        h.update(np.array([p.g_weight, p.g_bias], dtype=np.float64).tobytes())
     return h.hexdigest()
 
 
@@ -71,21 +70,19 @@ TRAJECTORY_GOLDEN = {
                 0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.9133333333333333, 0.9, 0.7933333333333333, 1.3881156697696202,
-                0.006666666666666667, 0.023333333333333334, 0.4162226105175847,
-                0.4124050103388824, 0.2664799250990515, 0.0, 0.9098292552326047,
-                0.9701544659265671, 0.02988462441624024, 0.5928358159808987, 0.0, 0.0,
-                1.5325496956297437,
+                1, 0.6533333333333333, 0.6466666666666666, 0.7766666666666666,
+                7.293111585993586, 0.0, 0.0, 0.614676525053402, 0.6143381509767135,
+                0.4383172355537749, 0.0, 0.564191675665924, 0.00046462270525736774,
+                29.300373583560685, 0.001226969682592602, 0.0, 0.0, 29.8657922289092,
             ],
             [
-                2, 0.9633333333333334, 0.9133333333333333, 0.7633333333333333,
-                1.5093415709168814, 0.0, 0.013333333333333334, 0.5146082671300082,
-                0.497495393269122, 0.10115174635321075, 0.0, 0.6976421631458282,
-                0.9647990557775193, 0.03513869078220876, 0.8387564605508375, 0.0, 0.0,
-                1.5715373144788745,
+                2, 0.12, 0.15333333333333332, 0.9866666666666667, 4.884347093205799,
+                0.006666666666666667, 0.0, 0.49014308427227227, 0.496895140715603, 0.0,
+                0.04818298173140462, 2.8507599906357246, 2.151413088521349, 7.717457557389121,
+                2.8369730504730994, 0.0, 0.0, 13.405190598497946,
             ],
         ],
-        "63d393aa080dc5dcf12779bf7e39643013e7030e38de2d073043974cae624ac4",
+        "2b82d2226a2cd08fc999db5bcd240fa0784488e145fd612694975511b05685a8",
     ),
     "temp_scone_atc": (
         [
@@ -95,20 +92,21 @@ TRAJECTORY_GOLDEN = {
                 0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.89, 0.8833333333333333, 0.84, 1.3584802405960397, 0.016666666666666666,
-                0.04, 0.397450406345028, 0.3941288641776396, 0.2268007809922543, 0.0,
-                0.9496240631500495, 0.9707194701740104, 0.02927625501843087, 0.5935001626544486,
-                0.4536015619845086, 2.0, 2.0260020428074377,
+                1, 0.6466666666666666, 0.6433333333333333, 0.7766666666666666,
+                7.288799657595032, 0.0, 0.0033333333333333335, 0.6144007530582676,
+                0.6140448718360018, 0.438273290595442, 0.0, 0.5663351499784953,
+                0.0004498292972651477, 29.267580735097283, 0.0012276955854261514,
+                0.876546581190884, 2.0, 30.71169016185209,
             ],
             [
-                2, 0.9366666666666666, 0.8666666666666667, 0.76, 1.4306986870260994,
-                0.0033333333333333335, 0.023333333333333334, 0.4714064172082239,
-                0.45854436588871467, 0.10551451728045694, 0.0, 0.7870568955992869,
-                0.9673914935877156, 0.0325460968185843, 0.8427880665558156, 0.16118108406509615,
-                1.5275725864022849, 1.823572143038783,
+                2, 0.13, 0.16333333333333333, 0.9933333333333333, 4.883288586181132,
+                0.013333333333333334, 0.0033333333333333335, 0.4998699873614394,
+                0.5043555539238566, 0.0, 0.045355344774133347, 2.8523348289635053,
+                2.139753494615651, 7.778732979548759, 2.806424186890558, 0.05564088127203587,
+                1.2267767238706666, 13.493132876674858,
             ],
         ],
-        "ce22880247d04f57a7da056ab376ff3f11c753df476377d39e087705be0dd03d",
+        "66e6166feca51391231b6a5d13c0852cedfb5c5184158f8304f00162e3ea0157",
     ),
     "temp_scone_ac": (
         [
@@ -118,21 +116,21 @@ TRAJECTORY_GOLDEN = {
                 0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.9166666666666666, 0.9, 0.7966666666666666, 1.3856657698922954,
-                0.006666666666666667, 0.023333333333333334, 0.41308876233191844,
-                0.40930466629950246, 0.0, 0.06144566055136741, 0.9150421879505547,
-                0.9702523541997298, 0.029781583028777273, 0.5929504937982899,
-                0.08032350655433675, 1.307228302756837, 1.6180977713319586,
+                1, 0.6533333333333333, 0.6466666666666666, 0.7733333333333333,
+                7.291427583575868, 0.0, 0.0, 0.6171329472097036, 0.6167776774905501, 0.0,
+                0.2793622017885246, 0.5659842338912148, 0.00046287806495319696,
+                29.313954222049176, 0.0012270561390437579, 0.5587244035770492, 2.0,
+                30.439889915656483,
             ],
             [
-                2, 0.9633333333333334, 0.9133333333333333, 0.7666666666666667,
-                1.4887633463742687, 0.0, 0.016666666666666666, 0.5023969124281655,
-                0.48616360193869335, 0.0, 0.05885758465883717, 0.7188539018202892,
-                0.9655878665601282, 0.03434811283931004, 0.8399594030224673,
-                0.07617866101819809, 1.2942879232941857, 1.6693400787002646,
+                2, 0.15, 0.16666666666666666, 0.9933333333333333, 4.884364964014337,
+                0.0033333333333333335, 0.0, 0.5112760995293282, 0.513570074617935,
+                0.122282790262151, 0.0, 2.853230927027516, 2.1305171908910006,
+                7.809132217059127, 2.7832235933153773, 0.19704819423363704, 1.6114139513107546,
+                13.642634931635659,
             ],
         ],
-        "f145cf1024e75799c01ad6cd7a6360921e2ae5b45afcf4b275c874b6962e1d4f",
+        "ccbe55a5bfbcc45a65e99895efe5b42b3200775fd0cdcb42d2e82c5ba6286f59",
     ),
     "distinct": (
         [
@@ -142,21 +140,19 @@ TRAJECTORY_GOLDEN = {
                 0.0, 0.0, 0.0, 1.246791830759166,
             ],
             [
-                1, 0.9133333333333333, 0.8966666666666666, 0.9533333333333334,
-                1.3003061280965214, 0.02666666666666667, 0.03666666666666667,
-                0.3738175647889241, 0.3717619535293608, 0.13963275218689186, 0.0,
-                1.003302584260128, 0.9717606990395385, 0.028171595765634688, 0.5948212617693844,
-                0.2371192796033216, 1.6981637609344593, 1.8634147213984689,
+                1, 0.65, 0.6366666666666667, 0.75, 6.9489342194141095, 0.0, 0.0,
+                0.5214101832230904, 0.5238356684310137, 0.4748390500750471, 0.0,
+                1.053148668313671, 0.0, 27.52817571554458, 0.0012500000000000002,
+                0.9496781001500944, 2.0, 29.532252484008346,
             ],
             [
-                2, 0.5733333333333334, 0.5466666666666666, 1.0, 1.3185386825316598,
-                0.02666666666666667, 0.05, 0.4048278303434947, 0.40256881588595667, 0.0,
-                0.03253842046580724, 1.1708399747814797, 0.9707779585746709,
-                0.029287521098689717, 0.8481639646028106, 0.03783216449785556,
-                1.1626921023290362, 2.0861236249808357,
+                2, 0.5166666666666667, 0.5033333333333333, 1.0, 5.376625017107227,
+                0.41333333333333333, 0.4, 0.4256698941596086, 0.42671395907144793, 0.0,
+                0.3536329217157217, 1.4839365586804492, 0.6665519455655569, 11.613536994797533,
+                0.23431590539520805, 0.7072658434314434, 2.0, 14.039055302304634,
             ],
         ],
-        "0520d5cd2d4655d7570a14a217769228252e0ee0674ea6f8b9768181e224b013",
+        "eb2b2bb06f26aa85ad9d12c5cfdc8e988cd619c99dbc27cb228deaa551201cf9",
     ),
 }
 
