@@ -4,9 +4,9 @@ Logits are plain [n, K] float64 arrays. Parameter-shaped quantities
 (gradients, momentum buffers) reuse the ModelParams container, which holds
 everything in one float64 vector laid out as every weight, then every
 bias; its layer arrays are views into it. backward_from_logits
-writes into the views of a zeroed vector, gradient sums and sgd_step's
-update are whole-vector operations in place, and the finite-difference
-checks perturb the same vector.
+writes every entry of a new vector through its views, gradient sums and
+sgd_step's update are whole-vector operations in place, and the
+finite-difference checks perturb the same vector.
 
 The no-grad forward pass runs in blocks of FORWARD_BLOCK_ROWS rows, so its
 temporaries stay small on full-split passes. Rows do not interact and no
@@ -242,10 +242,11 @@ def forward(params: ModelParams, features: np.ndarray) -> np.ndarray:
 def backward_from_logits(params: ModelParams, activations, dlogits: np.ndarray) -> ModelParams:
     """Backpropagate a [n, K] logits gradient into a parameter gradient.
 
-    Each layer's gradient is written into the views of one zeroed vector,
-    params.zeros_like().
+    Each layer's gradient is written into the views of one new vector. The
+    matmul and sum of each layer write every entry of its views, so the
+    vector needs no fill.
     """
-    grads = params.zeros_like()
+    grads = params._wrap(np.empty(params.vec.size))
     delta = np.asarray(dlogits, dtype=float)
     for layer in reversed(range(len(params.layer_weights))):
         np.matmul(activations[layer].T, delta, out=grads.layer_weights[layer])

@@ -3,28 +3,18 @@ the temporal-stability analysis.
 
 Natural logarithms throughout, so the log e factors of the bounds equal 1.
 The entropy-confidence implication is checked only on two-mass
-distributions (a dominant mass with the remainder split uniformly); it is
-false for arbitrary distributions, where entropy does not determine the
-maximum mass.
+distributions: a max mass p_star and the remainder split uniformly over
+the other K - 1 classes. It is false for arbitrary distributions, where
+entropy does not determine the maximum mass. A two-mass distribution is
+fixed by (p_star, K), so `lemma1_check` and the sweep work on those
+parameters alone; tests/test_theory.py ties `two_point_entropy` to the
+entropy of the distribution it stands for.
 
-`run_verification_sweep` evaluates every randomized check and the entropy
-grid as arrays: `kl`, `tv`, `chi2`, `_two_mass_decompose` and `lemma1_check`
-take (n, K) stacks, `two_point_entropy` a vector of p_star. Each has one code
-path, on stacks: a single distribution or a scalar p_star runs as a one-row
-stack and comes back as a float (a bool from `lemma1_check`). The random
-trials are drawn as arrays too: `_random_dist_stacks` draws the random-pair
-divergence checks as one stack per class count K, and `_two_mass_draws` one
-block of two-mass pairs per chunk. The sweep is deterministic per seed.
-
-The two-mass check is most of the sweep's work: 100k pairs, in rows only
-K <= 16 entries long. `_two_mass_rows` builds its stacks column-major
-(order="F"), so each per-row reduction of `_validate_dist`,
-`_two_mass_decompose` and `lemma1_check` (row max, min and sum) runs as K
-passes down contiguous columns rather than one short reduction per row;
-other layouts give the same results, more slowly. The pairs are drawn and
-checked in blocks of `_TWO_MASS_CHUNK`, split by K, and that bound stays:
-one stack per K over all 100k pairs is faster but holds every pair at once;
-it raised the peak RSS of a process running only the sweep from 39 to 45 MB.
+`kl`, `tv` and `chi2` take (n, K) stacks, and `two_point_entropy` and
+`lemma1_check` vectors of p_star. Each has one code path, on arrays: a
+single distribution or a scalar p_star runs as a one-entry array and
+comes back as a float (a bool from `lemma1_check`). `run_verification_sweep`
+draws its random trials as arrays too, and is deterministic per seed.
 """
 
 from __future__ import annotations
@@ -35,11 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _DIST_TOL = 1e-12
-_NOT_TWO_MASS = (
-    "not a two-mass distribution (max mass plus uniform remainder); "
-    "the entropy-confidence implication is only checked on that family"
-)
-# Trials per block of the randomized two-mass check: bounds its arrays.
+# Trials per block of the randomized two-mass check; the blocks fix the
+# order of its random draws.
 _TWO_MASS_CHUNK = 8192
 # Grid points of the shifted-Gaussian chi-square quadrature: steps near sigma / 80.
 _QUADRATURE_POINTS = 2001
@@ -79,19 +66,24 @@ def entropy(p: np.ndarray) -> float:
     return float(-terms.sum())
 
 
-def two_point_entropy(p_star, k: int):
+def two_point_entropy(p_star, k):
     """Entropy of (p*, remainder split over the other K-1 classes).
 
-    An array p_star gives the array of entropies; a scalar gives a float.
+    k is one class count, or one per entry of p_star. An array p_star gives
+    the array of entropies; a scalar gives a float.
     """
-    if k < 2:
-        raise ValueError(f"need K >= 2, got {k}")
+    ks = np.asarray(k)
+    if ks.ndim and ks.shape != np.shape(p_star):
+        raise ValueError(f"need one K per p_star, got shape {ks.shape} for {np.shape(p_star)}")
+    if (ks < 2).any():
+        raise ValueError(f"need K >= 2, got {ks[ks < 2].flat[0]}")
     p = np.atleast_1d(np.asarray(p_star, dtype=float))
     inside = (1.0 / k - 1e-12 <= p) & (p <= 1.0 + 1e-12)
     if not inside.all():
         raise ValueError(f"p_star must lie in [1/K, 1], got {p[~inside].flat[0]}")
     # p >= 1/K - 1e-12 > 0, so only the remainder term needs the 0 log 0
-    # guard; 0.0 - x gives +0.0 rather than -0.0 at p = 1
+    # guard, at p = 1: the sweep's monotone grid ends there, though no random
+    # draw reaches it; 0.0 - x gives +0.0 rather than -0.0 at p = 1
     rest = 1.0 - p
     positive = rest > 0.0
     h = 0.0 - p * np.log(p)
@@ -157,39 +149,16 @@ def chi2(p: np.ndarray, q: np.ndarray):
     return float(sums[0]) if single else sums
 
 
-def _two_mass_decompose(p: np.ndarray, tol: float = 1e-9):
-    """Return (p_star, K) if p is a two-mass distribution, else raise.
-
-    A (n, K) stack gives the vector of the rows' p_star and raises if any
-    row is not two-mass; a vector gives p_star as a float.
-    """
-    single = np.ndim(p) != 2
-    q = np.atleast_2d(_validate_dist(p, rows=not single))
-    k = q.shape[1]
-    if k < 2:
-        raise ValueError("need K >= 2")
-    p_star = q.max(axis=1)
-    gap = np.abs(q - ((1.0 - p_star) / (k - 1))[:, None])
-    gap[np.arange(q.shape[0]), q.argmax(axis=1)] = 0.0
-    if (gap.max(axis=1) > tol).any():
-        raise ValueError(_NOT_TWO_MASS)
-    return (float(p_star[0]) if single else p_star), k
-
-
-def lemma1_check(p_t: np.ndarray, p_t1: np.ndarray):
+def lemma1_check(star_t, star_t1, k):
     """On two-mass distributions: entropy rising implies max confidence falling.
 
-    Two (n, K) stacks give a bool array, one entry per row pair; two
-    vectors give a bool.
+    Each pair is given by its max masses star_t, star_t1 and its class count
+    k (one int, or one per pair). Arrays give one bool per pair; scalars a bool.
     """
-    star_t, k_t = _two_mass_decompose(p_t)
-    star_t1, k_t1 = _two_mass_decompose(p_t1)
-    if k_t != k_t1:
-        raise ValueError(f"class counts differ: {k_t} vs {k_t1}")
-    h_t = two_point_entropy(star_t, k_t)
-    h_t1 = two_point_entropy(star_t1, k_t1)
-    if np.shape(h_t) != np.shape(h_t1):
-        raise ValueError(f"stack shapes differ: {np.shape(p_t)} vs {np.shape(p_t1)}")
+    if np.shape(star_t) != np.shape(star_t1):
+        raise ValueError(f"shapes differ: {np.shape(star_t)} vs {np.shape(star_t1)}")
+    h_t = two_point_entropy(star_t, k)
+    h_t1 = two_point_entropy(star_t1, k)
     holds = ~np.less_equal(h_t, h_t1) | np.greater_equal(star_t, star_t1 - 1e-12)
     return holds if np.ndim(holds) else bool(holds)
 
@@ -309,14 +278,6 @@ def _two_mass_draws(rng: np.random.Generator, n: int):
     return ks, rng.uniform(low, 1.0), rng.uniform(low, 1.0)
 
 
-def _two_mass_rows(p_star: np.ndarray, k: int) -> np.ndarray:
-    """Stack of two-mass distributions with mass p_star on class 0."""
-    rows = np.empty((p_star.size, k), order="F")
-    rows[:] = ((1.0 - p_star) / (k - 1))[:, None]
-    rows[:, 0] = p_star
-    return rows
-
-
 def run_verification_sweep(seed: int = 0) -> list[PropertyCheck]:
     """All randomized and grid checks, one result row per property."""
     rng = np.random.default_rng(seed)
@@ -345,24 +306,16 @@ def run_verification_sweep(seed: int = 0) -> list[PropertyCheck]:
         violations = int((~(gaps <= 1e-12)).sum())
         results.append(PropertyCheck(name, gaps.size, violations, np.max(gaps, initial=0.0)))
 
-    # Entropy up implies max confidence down, over random two-mass pairs;
-    # the worst violation is the largest rise in max confidence.
+    # Entropy up implies max confidence down, over random two-mass pairs
+    # checked on their parameters; the worst violation is the largest rise
+    # in max confidence, which is p_star.
     trials, violations, rises = 100_000, 0, []
     for done in range(0, trials, _TWO_MASS_CHUNK):
         ks, star_a, star_b = _two_mass_draws(rng, min(_TWO_MASS_CHUNK, trials - done))
-        # group the pairs by K, in draw order within each K: one stable sort
-        # (a radix sort, K fitting in a byte) instead of a mask per K
-        order = np.argsort(ks.astype(np.uint8), kind="stable")
-        bounds = np.cumsum(np.bincount(ks))[:-1]
-        groups = zip(np.split(star_a[order], bounds), np.split(star_b[order], bounds))
-        for k, (group_a, group_b) in enumerate(groups):
-            if group_a.size == 0:
-                continue
-            pa, pb = _two_mass_rows(group_a, k), _two_mass_rows(group_b, k)
-            failed = ~lemma1_check(pa, pb)
-            if failed.any():
-                violations += int(failed.sum())
-                rises.append((pb.max(axis=1) - pa.max(axis=1))[failed].max())
+        failed = ~lemma1_check(star_a, star_b, ks)
+        if failed.any():
+            violations += int(failed.sum())
+            rises.append((star_b - star_a)[failed].max())
     results.append(
         PropertyCheck(
             "two_mass_entropy_confidence", trials, violations, np.max(rises, initial=0.0)

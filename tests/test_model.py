@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from sconelab import model
 from sconelab.model import (
     FORWARD_BLOCK_ROWS,
     ModelParams,
     OptimizerConfig,
+    backward_from_logits,
     cross_entropy,
     energy,
     forward,
@@ -187,8 +189,6 @@ def test_training_steps_are_deterministic():
         x = r.normal(size=(16, 4))
         y = r.integers(0, 3, size=16)
         for step in range(20):
-            from sconelab.model import backward_from_logits, forward_cached
-
             logits, acts = forward_cached(params, x)
             _, dz = cross_entropy(logits, y)
             grads = backward_from_logits(params, acts, dz)
@@ -401,3 +401,28 @@ def test_sgd_rejects_overflowing_update():
     cfg = OptimizerConfig(base_lr=1e3, momentum=0.9)
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
         sgd_step(params, grads, params.zeros_like(), 0, 1, cfg)
+
+
+class NanEmptyNumpy:
+    """numpy, except that np.empty fills its array with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float, order="C"):
+        return np.full(shape, np.nan, dtype, order)
+
+
+@pytest.mark.parametrize("hidden_sizes", [(), (5,), (6, 4)])
+def test_backward_writes_every_gradient_entry(monkeypatch, hidden_sizes):
+    # The gradient vector is allocated unfilled. With that allocation
+    # NaN-filled, an entry the backward pass does not write stays NaN.
+    params = init_params(3, 4, hidden_sizes, rng(1))
+    _, acts = forward_cached(params, rng(2).normal(size=(9, 3)))
+    dz = rng(3).normal(size=(9, 4))
+    want = backward_from_logits(params, acts, dz).vec
+    monkeypatch.setattr(model, "np", NanEmptyNumpy())
+    got = backward_from_logits(params, acts, dz).vec
+    assert not np.isnan(got).any()
+    assert got.tobytes() == want.tobytes()

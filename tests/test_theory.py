@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,10 +12,7 @@ from sconelab.theory import (
     _TWO_MASS_CHUNK,
     _chi2_gaussian_quadrature,
     _random_dist_stacks,
-    _two_mass_decompose,
     _two_mass_draws,
-    _two_mass_rows,
-    _validate_dist,
     analytic_gaussian_tv,
     chi2,
     chi2_gaussian_shift,
@@ -167,6 +165,7 @@ def test_divergence_stacks_with_zero_mass_match_rows(k):
         [0.6, 0.5, -0.1],  # negative
         [0.5, 0.3, 0.3],  # sums to 1.1
         [0.5, np.nan, 0.5],  # not finite
+        [0.5, np.inf, 0.5],  # infinite
     ],
 )
 @pytest.mark.parametrize("divergence", [kl, tv, chi2])
@@ -177,10 +176,22 @@ def test_divergence_stack_bad_row_same_message(divergence, bad_row):
         stack[3] = bad_row
         with pytest.raises(ValueError) as single:
             divergence(p[3], q[3])
-        with pytest.raises(ValueError) as stacked:
-            divergence(p, q)
-        assert str(stacked.value) == str(single.value)
+        for a, b in zip(layouts(p), layouts(q)):
+            with pytest.raises(ValueError) as stacked:
+                divergence(a, b)
+            assert str(stacked.value) == str(single.value)
         stack[3] = original
+
+
+def layouts(stack):
+    """stack as C-ordered, column-major and strided (a view into a larger
+    array) copies: the row reductions must not depend on the layout."""
+    strided = np.zeros((2 * stack.shape[0], 3 * stack.shape[1]))[::2, ::3]
+    strided[:] = stack
+    copies = [np.ascontiguousarray(stack), np.asfortranarray(stack), strided]
+    assert [c.flags.c_contiguous for c in copies] == [True, False, False]
+    assert [c.flags.f_contiguous for c in copies] == [False, True, False]
+    return copies
 
 
 @pytest.mark.parametrize("divergence", [kl, chi2])
@@ -236,8 +247,7 @@ def test_two_mass_draws_contract(seed, n):
 
 
 def test_lemma1_equality_case():
-    p = two_mass(0.7, 5)
-    assert lemma1_check(p, p)
+    assert lemma1_check(0.7, 0.7, 5)
 
 
 def test_lemma1_entropy_up_confidence_down():
@@ -245,21 +255,36 @@ def test_lemma1_entropy_up_confidence_down():
     h_hi = two_point_entropy(0.6, 5)
     h_lo = two_point_entropy(0.9, 5)
     assert h_lo <= h_hi
-    assert lemma1_check(two_mass(0.9, 5), two_mass(0.6, 5))
+    assert lemma1_check(0.9, 0.6, 5)
 
 
 def test_lemma1_randomized_sweep():
     rng = np.random.default_rng(3)
     for _ in range(20_000):
         k = int(rng.integers(2, 17))
-        assert lemma1_check(
-            two_mass(rng.uniform(1.0 / k, 1.0), k), two_mass(rng.uniform(1.0 / k, 1.0), k)
-        )
+        assert lemma1_check(rng.uniform(1.0 / k, 1.0), rng.uniform(1.0 / k, 1.0), k)
 
 
-def test_lemma1_rejects_general_distributions():
-    with pytest.raises(ValueError, match="two-mass"):
-        lemma1_check(np.array([0.5, 0.3, 0.2]), np.array([0.4, 0.3, 0.3]))
+def lemma1_oracle(star_a, star_b, k):
+    # the implication on the distributions themselves: their entropy and
+    # their max mass, with no use of the two-mass formula
+    pa, pb = two_mass(star_a, k), two_mass(star_b, k)
+    return not entropy(pa) <= entropy(pb) or pa.max() >= pb.max() - 1e-12
+
+
+def test_lemma1_check_matches_distribution_oracle():
+    rng = np.random.default_rng(12)
+    for k in range(2, 17):
+        ends = [1.0 / k, 1.0]
+        star_a = np.concatenate([np.repeat(ends, 2), rng.uniform(1.0 / k, 1.0, 300)])
+        star_b = np.concatenate([np.tile(ends, 2), rng.uniform(1.0 / k, 1.0, 300)])
+        star_b[4:24] = star_a[4:24]  # equality case
+        for a, b in zip(star_a, star_b):
+            assert two_point_entropy(a, k) == pytest.approx(entropy(two_mass(a, k)), abs=1e-14)
+            assert two_mass(a, k).max() == pytest.approx(a, rel=1e-15)
+        want = [lemma1_oracle(a, b, k) for a, b in zip(star_a, star_b)]
+        assert lemma1_check(star_a, star_b, k).tolist() == want
+        assert lemma1_check(star_a, star_b, np.full(star_a.size, k)).tolist() == want
 
 
 def test_chi2_gaussian_shift_zero():
@@ -393,6 +418,15 @@ def test_verification_sweep_rows_golden(seed):
     assert repr(got) == repr(SWEEP_GOLDEN[seed])
 
 
+def test_verification_sweep_rows_digest_seeds_0_to_20():
+    # every row of seeds 0-20 bit for bit, beyond the two seeds spelled out
+    # above: sha256 over the repr of each seed's rows, in seed order
+    digest = hashlib.sha256()
+    for seed in range(21):
+        digest.update(repr([c.to_row() for c in run_verification_sweep(seed)]).encode())
+    assert digest.hexdigest() == "1b662c11027f78cf9cf8ea61ccab4ae61e2ae191cccb8584a6606aa7b907187b"
+
+
 def scalar_two_point_entropy(p_star, k):
     # the one-value-at-a-time formula the array path must reproduce
     rest = 1.0 - p_star
@@ -415,13 +449,24 @@ def test_two_point_entropy_array_matches_scalar():
 
 
 def test_scalar_inputs_give_python_scalars():
-    # a scalar p_star or a single distribution runs as a one-row stack
+    # a scalar p_star runs as a one-entry array
     assert type(two_point_entropy(0.6, 5)) is float
-    p_star, k = _two_mass_decompose(two_mass(0.6, 5))
-    assert (type(p_star), type(k)) == (float, int)
-    assert (p_star, k) == (0.6, 5)
-    assert lemma1_check(two_mass(0.9, 5), two_mass(0.6, 5)) is True
-    assert lemma1_check(two_mass(0.6, 5), two_mass(0.9, 5)) is True
+    assert lemma1_check(0.9, 0.6, 5) is True
+    assert lemma1_check(0.6, 0.9, np.int64(5)) is True
+
+
+def test_two_point_entropy_per_entry_class_counts():
+    # one call with a K per entry gives the bits of one call per K
+    grids = [np.linspace(1.0 / k, 1.0, 97) for k in range(2, 17)]
+    want = np.concatenate([two_point_entropy(g, k) for k, g in zip(range(2, 17), grids)])
+    got = two_point_entropy(np.concatenate(grids), np.repeat(np.arange(2, 17), 97))
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="need K >= 2, got 1"):
+        two_point_entropy(np.array([0.5, 0.5]), np.array([2, 1]))
+    with pytest.raises(ValueError, match=r"got shape \(3,\) for \(2,\)"):
+        two_point_entropy(np.array([0.5, 0.5]), np.array([2, 3, 4]))
+    with pytest.raises(ValueError, match=r"got shape \(2,\) for \(\)"):
+        two_point_entropy(0.5, np.array([2, 3]))
 
 
 def test_two_point_entropy_array_out_of_range():
@@ -431,72 +476,44 @@ def test_two_point_entropy_array_out_of_range():
         two_point_entropy(np.array([0.5, np.nan]), 5)
 
 
-def two_mass_stack(rng, n, k):
-    # max mass on a random class, so the argmax is not always column 0
-    stack = np.array([two_mass(rng.uniform(1.0 / k, 1.0), k) for _ in range(n)])
-    return rng.permuted(stack, axis=1)
-
-
-def layouts(stack):
-    """stack as C-ordered, column-major and strided (a view into a larger
-    array) copies: the row reductions must not depend on the layout."""
-    strided = np.zeros((2 * stack.shape[0], 3 * stack.shape[1]))[::2, ::3]
-    strided[:] = stack
-    copies = [np.ascontiguousarray(stack), np.asfortranarray(stack), strided]
-    assert [c.flags.c_contiguous for c in copies] == [True, False, False]
-    assert [c.flags.f_contiguous for c in copies] == [False, True, False]
-    return copies
-
-
-def test_two_mass_rows_are_column_major():
-    rows = _two_mass_rows(np.array([0.5, 0.9, 0.25]), 4)
-    assert rows.flags.f_contiguous
-    assert rows.tolist() == [two_mass(p, 4).tolist() for p in (0.5, 0.9, 0.25)]
-
-
 def test_lemma1_stack_matches_rows():
-    rng = np.random.default_rng(6)
-    for k in (2, 3, 9, 16):
-        pa, pb = two_mass_stack(rng, 200, k), two_mass_stack(rng, 200, k)
-        pb[:20] = pa[:20]  # equality case
-        want = [lemma1_check(a, b) for a, b in zip(pa, pb)]
-        want_star = [_two_mass_decompose(a)[0] for a in pa]
-        for a, b in zip(layouts(pa), layouts(pb)):
-            assert _validate_dist(a, rows=True).tobytes() == pa.tobytes()
-            assert _two_mass_decompose(a)[0].tolist() == want_star
-            got = lemma1_check(a, b)
-            assert got.dtype == bool and got.shape == (200,)
-            assert got.tolist() == want
+    # one call on vectors of pairs, a K per pair, gives the per-pair answers
+    ks, star_a, star_b = _two_mass_draws(np.random.default_rng(6), 800)
+    star_b[:20] = star_a[:20]  # equality case
+    want = [lemma1_check(a, b, k) for a, b, k in zip(star_a, star_b, ks)]
+    got = lemma1_check(star_a, star_b, ks)
+    assert got.dtype == bool and got.shape == (800,)
+    assert got.tolist() == want
 
 
 @pytest.mark.parametrize(
     "bad_row",
     [
-        [0.6, 0.5, -0.1],  # negative
-        [0.5, 0.3, 0.3],  # sums to 1.1
-        [0.5, 0.3, 0.2],  # not two-mass
-        [0.5, np.nan, 0.5],  # not finite
-        [0.5, np.inf, 0.5],  # infinite
+        (0.1, 0.5, 3),  # p_star below 1/K
+        (1.5, 0.5, 3),  # p_star above 1
+        (np.nan, 0.5, 3),  # not finite
+        (0.5, np.inf, 3),  # infinite, in the second of the pair
+        (0.5, 0.5, 1),  # K below 2
     ],
 )
 def test_lemma1_stack_bad_row_same_message(bad_row):
-    rng = np.random.default_rng(7)
-    pa, pb = two_mass_stack(rng, 6, 3), two_mass_stack(rng, 6, 3)
-    pa[3] = bad_row
+    # a bad pair among good ones raises the message its own check would
+    ks, star_a, star_b = _two_mass_draws(np.random.default_rng(7), 6)
+    star_a[3], star_b[3], ks[3] = bad_row
     with pytest.raises(ValueError) as single:
-        lemma1_check(pa[3], pb[3])
-    for a, b in zip(layouts(pa), layouts(pb)):
-        with pytest.raises(ValueError) as stacked:
-            lemma1_check(a, b)
-        assert str(stacked.value) == str(single.value)
+        lemma1_check(star_a[3], star_b[3], ks[3])
+    with pytest.raises(ValueError) as stacked:
+        lemma1_check(star_a, star_b, ks)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_lemma1_stack_shape_mismatch():
-    rng = np.random.default_rng(8)
-    with pytest.raises(ValueError, match="class counts differ"):
-        lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 4, 5))
-    with pytest.raises(ValueError, match="stack shapes differ"):
-        lemma1_check(two_mass_stack(rng, 4, 3), two_mass_stack(rng, 5, 3))
+    with pytest.raises(ValueError, match=r"shapes differ: \(4,\) vs \(5,\)"):
+        lemma1_check(np.full(4, 0.5), np.full(5, 0.5), 3)
+    with pytest.raises(ValueError, match=r"shapes differ: \(\) vs \(2,\)"):
+        lemma1_check(0.5, np.full(2, 0.5), 3)
+    with pytest.raises(ValueError, match=r"got shape \(5,\) for \(4,\)"):
+        lemma1_check(np.full(4, 0.5), np.full(4, 0.5), np.full(5, 3))
 
 
 def test_sweep_counts_nan_gaps_as_violations(monkeypatch):
@@ -517,7 +534,7 @@ def test_sweep_max_violation_is_python_float():
 
 
 def test_two_mass_sweep_reports_largest_confidence_rise(monkeypatch):
-    # Count every pair whose class-0 mass rises by more than 0.5 as a
+    # Count every pair whose max mass rises by more than 0.5 as a
     # violation; the row must give their number and the largest rise.
     draws = []
 
@@ -527,34 +544,38 @@ def test_two_mass_sweep_reports_largest_confidence_rise(monkeypatch):
         return out
 
     monkeypatch.setattr(theory, "_two_mass_draws", recording_draws)
-    monkeypatch.setattr(theory, "lemma1_check", lambda pa, pb: pb[:, 0] - pa[:, 0] <= 0.5)
+    monkeypatch.setattr(theory, "lemma1_check", lambda star_a, star_b, ks: star_b - star_a <= 0.5)
     row = {c.name: c for c in run_verification_sweep(seed=3)}["two_mass_entropy_confidence"]
     ks, star_a, star_b = (np.concatenate(parts) for parts in zip(*draws))
     flagged = star_b - star_a > 0.5
-    # max mass of each row; the remainder can beat p_star by rounding at 1/K
-    top_a = np.maximum(star_a, (1.0 - star_a) / (ks - 1))
-    top_b = np.maximum(star_b, (1.0 - star_b) / (ks - 1))
     assert row.trials == ks.size == 100_000
     assert row.violations == flagged.sum() > 0
-    assert row.max_violation == (top_b - top_a)[flagged].max()
+    assert row.max_violation == (star_b - star_a)[flagged].max()
     assert not row.passed
 
 
 @pytest.mark.parametrize("chunk", [_TWO_MASS_CHUNK, 1000])
 def test_two_mass_sweep_stacks_stay_within_chunk(monkeypatch, chunk):
-    # The chunk bounds the sweep's peak memory: no stack may hold more rows
-    # than one block of draws, and every trial is checked exactly once. At
-    # 1000 trials a block is smaller than one K's share of all 100k trials,
-    # so a sweep that ignored the chunk would show here.
-    shapes = []
+    # Each lemma1_check call sees at most one block of draws, and every
+    # trial is checked exactly once: the calls' arguments, in order, are
+    # the draws themselves.
+    draws, checked = [], []
 
-    def recording_check(pa, pb):
-        shapes.append((pa.shape, pb.shape))
-        return lemma1_check(pa, pb)
+    def recording_draws(rng, n):
+        draws.append(_two_mass_draws(rng, n))
+        return draws[-1]
+
+    def recording_check(star_a, star_b, ks):
+        checked.append((ks, star_a, star_b))
+        return lemma1_check(star_a, star_b, ks)
 
     monkeypatch.setattr(theory, "_TWO_MASS_CHUNK", chunk)
+    monkeypatch.setattr(theory, "_two_mass_draws", recording_draws)
     monkeypatch.setattr(theory, "lemma1_check", recording_check)
     row = {c.name: c for c in run_verification_sweep(seed=2)}["two_mass_entropy_confidence"]
     assert row.passed
-    assert all(a == b and a[0] <= chunk for a, b in shapes)
-    assert sum(a[0] for a, _ in shapes) == row.trials == 100_000
+    assert len(checked) == -(-100_000 // chunk)
+    assert all(ks.shape == a.shape == b.shape and ks.size <= chunk for ks, a, b in checked)
+    for got, want in zip(zip(*checked), zip(*draws)):
+        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+    assert sum(ks.size for ks, _, _ in checked) == row.trials == 100_000
