@@ -14,7 +14,9 @@ rejects, and an empty item beside others is an error), or a
 `tuple | None` schedule. A knob is therefore one field: a numeric one is
 declared as knob(default, interval), and the dataclass's check_knobs
 rejects any value, or tuple entry, outside that interval. _fmt writes each
-value back, and the CLI prints its CSV cells with it too.
+value back, and the CLI prints its CSV cells with it too. A schedule left
+as None (its default) is left out of the written text, so it parses back
+to None.
 """
 
 from __future__ import annotations
@@ -193,7 +195,9 @@ def serialize_spec(spec: ExperimentSpec) -> str:
     }
     parser = configparser.ConfigParser(interpolation=None)
     for section, keys in KEYS.items():
-        parser[section] = {key: _fmt(getattr(values[section], key)) for key in keys}
+        parser[section] = {
+            key: _fmt(value) for key in keys if (value := getattr(values[section], key)) is not None
+        }
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

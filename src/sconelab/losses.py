@@ -4,14 +4,12 @@ The energy margins are the squared hinges of Liu et al., "Energy-based
 Out-of-distribution Detection" (NeurIPS 2020): the in-distribution term is
 mean max(0, E - m_in)^2, which pushes ID energies below m_in, and the wild
 term is mean max(0, m_out - E)^2, which pushes wild energies above m_out.
-Both are one signed function, _margin_grad, under two public names. The
-constraint on the ID term is enforced with an augmented-Lagrangian pair
-(linear multiplier + quadratic penalty) and dual ascent on the multiplier,
-so fpr_cutoff bounds the mean squared excess of ID energies over m_in, not
-a rate. Each term is one function that returns its value with its
-derivatives. The functions here are stateless: the multiplier and the
-previous timestep's probe scores are plain floats that the trainer's
-RunState carries and passes in.
+Both are one signed function, _margin_grad, under two public names, and
+each enters the objective with a fixed weight, lambda_in and lambda_out, as
+in Liu et al. Each term is one function that returns its value with its
+derivatives. The functions here are stateless: the previous timestep's
+probe scores are plain floats that the trainer's RunState carries and
+passes in.
 
 The temporal drift penalty is asymmetric: it fires when the ID probe score
 falls below, or the covariate probe score rises above, the value the
@@ -34,23 +32,21 @@ from .knobs import check_knobs, knob
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """Scalar knobs of the constrained objective and the temporal penalty.
+    """Scalar knobs of the energy margins and the temporal penalty.
 
-    lambda_in weighs the augmented Lagrangian's quadratic penalty on the ID
-    term; its linear multiplier is RunState.lambda_in_mult, not a knob.
-    m_in and m_out are the energy margins of the ID and wild terms.
+    m_in and m_out are the margins of the ID and wild hinges, and lambda_in
+    and lambda_out their fixed weights in the objective; lambda_in = 0 with
+    lambda_out = 0 trains cross-entropy alone.
     """
 
     m_in: float = knob(-7.0, "(-inf, inf)")
     m_out: float = knob(-3.0, "(-inf, inf)")
     lambda_out: float = knob(1.0, "[0, inf)")
-    lambda_in: float = knob(1.0, "[0, inf)")
+    lambda_in: float = knob(3.0, "[0, inf)")
     lambda_base: float = knob(1.0, "[0, inf)")
     delta_max: float = knob(0.2, "(0, inf]")
     epsilon: float = knob(0.02, "[0, inf]")
     omega: float = knob(0.05, "(0, inf)")
-    fpr_cutoff: float = knob(0.05, "(0, 1)")
-    lr_lambda: float = knob(0.1, "[0, inf)")
 
     def __post_init__(self):
         check_knobs(self)
@@ -63,7 +59,6 @@ class LossBreakdown:
     ce: float
     l_in: float
     l_out: float
-    alm_in: float
     l_temp: float
     w_temp: float
     total: float
@@ -89,15 +84,6 @@ def loss_out_grad(energies_wild: np.ndarray, hp: Hyperparams):
     """Mean max(0, m_out - E)^2 over a wild batch, zero once every E sits at
     or above m_out; returns (value, d/dE vector)."""
     return _margin_grad(energies_wild, hp.m_out, -1.0)
-
-
-def alm_in(l_in_value: float, lambda_in_mult: float, hp: Hyperparams) -> tuple[float, float]:
-    """Augmented-Lagrangian term lambda_in_mult*c + (hp.lambda_in/2)*c^2 with
-    c = L_in - fpr_cutoff, and its slope d/dL_in = lambda_in_mult + hp.lambda_in*c;
-    returns (value, slope)."""
-    c = l_in_value - hp.fpr_cutoff
-    value = lambda_in_mult * c + 0.5 * hp.lambda_in * c * c
-    return value, lambda_in_mult + hp.lambda_in * c
 
 
 def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
@@ -150,23 +136,16 @@ def total_loss(
     ce: float,
     l_in: float = 0.0,
     l_out: float = 0.0,
-    alm_in: float = 0.0,
     l_temp: float = 0.0,
     w_temp: float = 0.0,
 ) -> LossBreakdown:
-    """Compose the per-step objective ce + lambda_out*l_out + alm_in + l_temp.
+    """Compose the per-step objective ce + lambda_in*l_in + lambda_out*l_out + l_temp.
 
     The terms come in LossBreakdown's field order. l_temp already carries
-    its adaptive weight w_temp, and l_in enters through alm_in, so neither
-    w_temp nor l_in is added again; both are recorded.
+    its adaptive weight w_temp, so w_temp is recorded but not added again.
     """
-    parts = (ce, l_out, alm_in, l_temp)
+    parts = (ce, l_in, l_out, l_temp)
     if not all(np.isfinite(parts)):
         raise FloatingPointError(f"non-finite loss part: {parts}")
-    total = ce + hp.lambda_out * l_out + alm_in + l_temp
-    return LossBreakdown(ce, l_in, l_out, alm_in, l_temp, w_temp, total)
-
-
-def update_multipliers(lambda_in_mult: float, l_in_epoch: float, hp: Hyperparams) -> float:
-    """Dual ascent on the ID-energy multiplier, clipped to stay nonnegative."""
-    return max(0.0, lambda_in_mult + hp.lr_lambda * (l_in_epoch - hp.fpr_cutoff))
+    total = ce + hp.lambda_in * l_in + hp.lambda_out * l_out + l_temp
+    return LossBreakdown(ce, l_in, l_out, l_temp, w_temp, total)

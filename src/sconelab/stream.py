@@ -57,10 +57,12 @@ def substream(seed: int, purpose: int, t: int = 0) -> np.random.Generator:
 class StreamConfig:
     """Stream geometry and drift schedules.
 
-    pi_cov, pi_sem and corruption_sigma are per-timestep schedules: a scalar
-    is broadcast over the timesteps, and an omitted corruption_sigma defaults
-    to a linear 0 -> 1 ramp in the dynamic regime and a constant 0.5 in the
-    distinct regime.
+    pi_cov, pi_sem and corruption_sigma are per-timestep schedules, kept as
+    given and resolved by schedule(name): a scalar is broadcast over the
+    timesteps, and None takes the default, which for corruption_sigma is a
+    linear 0 -> 1 ramp in the dynamic regime and a constant 0.5 in the
+    distinct regime. So dataclasses.replace of the regime or the timestep
+    count gives the config built fresh with those values.
     """
 
     num_timesteps: int = knob(10, "[1, inf)")
@@ -78,18 +80,19 @@ class StreamConfig:
         check_knobs(self)
         if self.regime not in (REGIME_DYNAMIC, REGIME_DISTINCT):
             raise ValueError(f"regime must be dynamic or distinct, got {self.regime!r}")
-        t_count = self.num_timesteps
-        dynamic = self.regime == REGIME_DYNAMIC
-        for name, default in (
-            ("pi_cov", 0.3),
-            ("pi_sem", 0.2),
-            ("corruption_sigma", np.linspace(0.0, 1.0, t_count) if dynamic else 0.5),
-        ):
-            value = getattr(self, name)
-            setattr(self, name, _as_schedule(default if value is None else value, t_count, name))
-        for pc, ps in zip(self.pi_cov, self.pi_sem):
+        self.schedule("corruption_sigma")  # checks its length
+        for pc, ps in zip(self.schedule("pi_cov"), self.schedule("pi_sem")):
             if not pc + ps < 1.0:
                 raise ValueError(f"mixture weights must satisfy pi_cov + pi_sem < 1, got {pc}, {ps}")
+
+    def schedule(self, name: str) -> tuple[float, ...]:
+        """The per-timestep values of the schedule field `name`."""
+        value = getattr(self, name)
+        if value is None:
+            dynamic = self.regime == REGIME_DYNAMIC
+            ramp = np.linspace(0.0, 1.0, self.num_timesteps) if dynamic else 0.5
+            value = {"pi_cov": 0.3, "pi_sem": 0.2, "corruption_sigma": ramp}[name]
+        return _as_schedule(value, self.num_timesteps, name)
 
 
 def _as_schedule(value, t_count: int, name: str) -> tuple[float, ...]:
@@ -156,7 +159,7 @@ def make_snapshot(cfg: StreamConfig, seed: int, t: int) -> DomainSnapshot:
             _circle_means(k, ID_RADIUS, id_phase, d),
             _circle_means(k, SEM_RADIUS, sem_phase, d),
             cfg.class_cov_scale,
-            cfg.corruption_sigma[t],
+            cfg.schedule("corruption_sigma")[t],
         )
         if snap.separated():
             return snap
@@ -238,8 +241,8 @@ def make_timestep_splits(
     """Generate every split of timestep t from independent substreams of seed."""
     snap = make_snapshot(cfg, seed, t)
     n = cfg.samples_per_split
-    pi_cov = cfg.pi_cov[t]
-    pi_sem = cfg.pi_sem[t]
+    pi_cov = cfg.schedule("pi_cov")[t]
+    pi_sem = cfg.schedule("pi_sem")[t]
 
     train_x, train_y = sample_labeled(snap, n, substream(seed, PURPOSE_TRAIN, t))
     wild = sample_wild(snap, n, pi_cov, pi_sem, substream(seed, PURPOSE_WILD, t))

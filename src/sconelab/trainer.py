@@ -1,20 +1,20 @@
 """Sequential open-world training over a drifting stream.
 
 Timestep 0 trains with cross-entropy only and serves as initialization;
-later timesteps add the energy losses, the augmented-Lagrangian constraint
-and the temporal penalty. Both run through train_timestep's one epoch
-loop. The temporal term is evaluated once per epoch on fixed probe
+later timesteps add the two energy hinges, each at its fixed weight, and
+the temporal penalty. Both run through train_timestep's one epoch loop.
+The temporal term is evaluated once per epoch on fixed probe
 subsets; its value stays constant across the epoch's minibatches and its
 parameter gradient is folded into every minibatch step scaled by
 1/(#minibatches). The probe scores stored at the end of a timestep, which
 the next timestep's drift is measured against, come from the same helper
-and logits formula as the epoch term. The ID-energy multiplier is updated
-by dual ascent after each epoch from the full-split ID energy loss.
+and logits formula as the epoch term. Apart from these probe passes, a
+timestep runs whole-split forward passes only to score its record and,
+under refit_delta, to refit delta.
 
 One RunState carries a run from one timestep to the next: the model and
-its momentum, the multiplier, the stored probe scores and the ATC
-threshold delta. train_timestep updates it in place and returns the
-timestep's record.
+its momentum, the stored probe scores and the ATC threshold delta.
+train_timestep updates it in place and returns the timestep's record.
 
 Timestep 0 reads no method-specific field, so initialize trains it once
 into a frozen Initialization and run_stream starts any method of the same
@@ -37,12 +37,10 @@ from .knobs import check_knobs, knob
 from .losses import (
     Hyperparams,
     LossBreakdown,
-    alm_in,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
     total_loss,
-    update_multipliers,
 )
 from .metrics import MetricsRecord, evaluate_timestep
 from .model import (
@@ -51,7 +49,6 @@ from .model import (
     backward_from_logits,
     cross_entropy,
     cross_entropy_from_log_softmax,
-    energy,
     forward,
     forward_cached,
     init_params,
@@ -115,11 +112,12 @@ class RunState:
     prev_scores holds the (ID, covariate) probe scores of the last finished
     timestep and delta the ATC threshold. Timestep 0 fits delta only;
     run_stream stores its own method's scores from Initialization.probes.
+    The hinges' weights are fixed knobs of Hyperparams, so no loss weight
+    is carried from one timestep to the next.
     """
 
     params: ModelParams
     momentum: ModelParams
-    lambda_in_mult: float = 0.0
     prev_scores: tuple[float, float] | None = None
     delta: float | None = None
 
@@ -181,23 +179,23 @@ def _epoch_temporal_term(params, splits, prev_scores, hp, cfg: RunConfig, delta)
     return l_temp, w_temp, d_id, d_cov, parts[0]
 
 
-def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyperparams):
+def _minibatch_loss_grads(params, xb, yb, wild_b, hp: Hyperparams):
     """Per-minibatch objective terms and their parameter gradient: (terms,
-    grads), terms being (ce, l_in, l_out, alm_in) in LossBreakdown's order.
+    grads), terms being (ce, l_in, l_out) in LossBreakdown's order.
 
-    The ID batch feeds cross-entropy and the constrained in-distribution
-    energy term; the wild batch feeds the out-energy term. Energy gradients
-    chain through dE/dz = -softmax(z). Each batch takes its log-softmax and
-    energy from one log-partition, and softmax = exp(log-softmax) serves
-    both the cross-entropy gradient and the energy chain.
+    The ID batch feeds cross-entropy and the ID hinge, at the fixed weight
+    lambda_in; the wild batch feeds the wild hinge, at lambda_out. Energy
+    gradients chain through dE/dz = -softmax(z). Each batch takes its
+    log-softmax and energy from one log-partition, and softmax =
+    exp(log-softmax) serves both the cross-entropy gradient and the energy
+    chain.
     """
     logits_id, acts_id = forward_cached(params, xb)
     logp_id, e_id = log_softmax_energy(logits_id)
     probs_id = np.exp(logp_id)
     l_in_v, dlin_de = loss_in_grad(e_id, hp)
-    alm_v, w_alm = alm_in(l_in_v, lambda_in_mult, hp)
     # taken before cross_entropy_from_log_softmax turns probs_id into its gradient
-    dz_energy = (w_alm * dlin_de)[:, None] * probs_id
+    dz_energy = (hp.lambda_in * dlin_de)[:, None] * probs_id
     ce, dz_id = cross_entropy_from_log_softmax(logp_id, probs_id, yb)
     dz_id -= dz_energy
     grads = backward_from_logits(params, acts_id, dz_id)
@@ -208,7 +206,7 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, lambda_in_mult: float, hp: Hyp
     dz_w = np.exp(logp_w, out=logp_w)
     dz_w *= (-(hp.lambda_out * dlout_de))[:, None]
     grads.vec += backward_from_logits(params, acts_w, dz_w).vec
-    return (ce, l_in_v, l_out_v, alm_v), grads
+    return (ce, l_in_v, l_out_v), grads
 
 
 def _mean_breakdown(parts: list[LossBreakdown], hp: Hyperparams) -> LossBreakdown:
@@ -235,9 +233,9 @@ def _ce_loss_grads(params, xb, yb):
 def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> MetricsRecord:
     """One timestep of training; updates state in place and returns the record.
 
-    Timestep 0 is initialization: cross-entropy only, with no wild batches,
-    temporal term or dual ascent; delta is fit on its validation split and
-    no probe scores are stored. Later timesteps train the full objective,
+    Timestep 0 is initialization: cross-entropy only, with no wild batches
+    or temporal term; delta is fit on its validation split and no probe
+    scores are stored. Later timesteps train the full objective,
     store the final parameters' probe scores for the next timestep, and
     refit delta after the record when cfg.refit_delta is set, so both the
     scores and the record use the delta from before the refit.
@@ -278,9 +276,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             rows = perm[b * batch : (b + 1) * batch]
             if wild:
                 wb = wild_pool[b * wild_batch : (b + 1) * wild_batch]
-                terms, grads = _minibatch_loss_grads(
-                    params, x[rows], y[rows], wb, state.lambda_in_mult, hp
-                )
+                terms, grads = _minibatch_loss_grads(params, x[rows], y[rows], wb, hp)
                 if temporal_active:
                     grads.vec += g_temp_step
             else:
@@ -289,10 +285,6 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             step_index = epoch * steps_per_epoch + b
             sgd_step(params, grads, state.momentum, step_index, total_steps, cfg.optimizer)
         last_epoch_parts = epoch_parts
-
-        if wild:
-            l_in_full = loss_in_grad(energy(forward(params, x)), hp)[0]
-            state.lambda_in_mult = update_multipliers(state.lambda_in_mult, l_in_full, hp)
 
     if wild:
         probes = (splits.probe_in, splits.probe_cov)

@@ -73,7 +73,7 @@ def test_minimal_config_populates_documented_defaults():
     assert spec.emit == "both"
     run = spec.base_run
     assert run.stream.num_timesteps == 10
-    assert run.stream.pi_cov == (0.3,) * 10
+    assert run.stream.schedule("pi_cov") == (0.3,) * 10
     assert (run.hyper.m_in, run.hyper.m_out) == (-7.0, -3.0)
     assert run.epochs_per_timestep == 10
     assert run.optimizer.momentum == 0.9
@@ -88,7 +88,7 @@ def test_config_margins_must_be_ordered():
 
 
 def test_config_unknown_key_and_section_rejected():
-    for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol", "delta"):
+    for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol", "delta", "fpr_cutoff", "lr_lambda"):
         with pytest.raises(ConfigError, match=rf"unknown key \[hyper\] {key}"):
             parse_config_text(MINIMAL + f"\n[hyper]\n{key} = 1\n")
     with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
@@ -117,9 +117,9 @@ NON_DEFAULT = {
     ("stream", "num_classes"): ("3", 3),
     ("stream", "input_dim"): ("3", 3),
     ("stream", "regime"): ("distinct", "distinct"),
-    ("stream", "pi_cov"): ("0.1", (0.1,) * 10),
+    ("stream", "pi_cov"): ("0.1", 0.1),
     ("stream", "pi_sem"): (", ".join(["0.1"] * 9 + ["0.25"]), (0.1,) * 9 + (0.25,)),
-    ("stream", "corruption_sigma"): ("0.25", (0.25,) * 10),
+    ("stream", "corruption_sigma"): ("0.25", 0.25),
     ("stream", "drift_angle_per_step"): ("0.2", 0.2),
     ("stream", "samples_per_split"): ("100", 100),
     ("stream", "class_cov_scale"): ("0.5", 0.5),
@@ -137,8 +137,6 @@ NON_DEFAULT = {
     ("hyper", "delta_max"): ("0.3", 0.3),
     ("hyper", "epsilon"): ("0.01", 0.01),
     ("hyper", "omega"): ("0.1", 0.1),
-    ("hyper", "fpr_cutoff"): ("0.1", 0.1),
-    ("hyper", "lr_lambda"): ("0.2", 0.2),
     ("run", "epochs_per_timestep"): ("2", 2),
     ("run", "probe_size"): ("64", 64),
     ("run", "score_kind"): ("neg_entropy", ScoreKind.NEG_ENTROPY),
@@ -273,7 +271,6 @@ BAD_VALUES = [
     ("hyper", "lambda_in", "inf"),
     ("hyper", "lambda_base", "inf"),
     ("hyper", "omega", "inf"),
-    ("hyper", "lr_lambda", "inf"),
     ("stream", "class_cov_scale", "nan"),
     ("stream", "class_cov_scale", "inf"),
     ("stream", "drift_angle_per_step", "nan"),
@@ -322,10 +319,21 @@ def test_default_spec_serializes():
     assert parse_config_text(text) == ExperimentSpec()
 
 
+def test_config_echo_leaves_out_unset_schedules():
+    # a schedule left to its default is written as no key, so it parses back
+    # to None and resolves for the regime and length the echo names
+    text = serialize_spec(ExperimentSpec())
+    for key in ("pi_cov", "pi_sem", "corruption_sigma"):
+        assert f"\n{key} =" not in text
+    assert "\npi_cov = 0.1\n" in serialize_spec(parse_config_text("[stream]\npi_cov = 0.1\n"))
+    edited = parse_config_text(text.replace("regime = dynamic", "regime = distinct"))
+    assert edited.base_run.stream.schedule("corruption_sigma") == (0.5,) * 10
+
+
 def test_default_ini_text_pinned():
     # every key's name, order and default value as the config echo writes them
     digest = hashlib.sha256(serialize_spec(ExperimentSpec()).encode()).hexdigest()
-    assert digest == "95927a87903b5d2dd26ff0e802455b2fe35c13cdb3a5514483c310e2010a7b6c"
+    assert digest == "890278a09311007fb1ba7c75dc5de9b11d9d4367508ddcbfe8c512a9d4fcf482"
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -402,12 +410,12 @@ def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
 # except the config echo, which records the output directory. A changed
 # record value, column, cell format or file name shows up here.
 SMALL_RUN_DIGESTS = {
-    "metrics.csv": "e3ba54e652fa50eb7302940687ab1ddf24f90cc78da96fb36fcffa85139ac639",
-    "summary.csv": "c406683974e2a586b6a83a4810ac519f3f3a97bed99cd6baeb7b8ac526154d33",
-    "run-scone-seed0.jsonl": "a8b913f92f6ec32b2b21f627c22cc6e167fa8dc5ee5e3dc23cb0e0b0f09c9058",
-    "run-scone-seed1.jsonl": "624f0eb6e33a151778a9beba12b3b2ceaf713d62df902874f98fc69d445d85bc",
-    "run-temp_scone_atc-seed0.jsonl": "e44b595852fdf52241d40c3668c107c9ed502cf18de273f35c9cef6b6e8c9881",
-    "run-temp_scone_atc-seed1.jsonl": "4be0aa547e904eba4c656dbbb530eec5424bcf52294b471b6e33a3c3ef705cbf",
+    "metrics.csv": "5a2d1308fb435f9160ff153593eea07b4faa456b94d9d3e7e6c9f1efd1b74780",
+    "summary.csv": "4f3139a0817eaa9150056d3f209196cbedaa0755b0b899fb846ce83f332abcac",
+    "run-scone-seed0.jsonl": "0e62a154747110f5347f8233231328e21433dfdfb8e482a33e5e4ddab6301688",
+    "run-scone-seed1.jsonl": "7ada284938db50081d9bc47c3d75b18e6c52f64460665bec4960f3c3d3c64bb1",
+    "run-temp_scone_atc-seed0.jsonl": "1748f32bc08dbf60f42a501d1c890301e0e8c43f9751a494a36486659a46013f",
+    "run-temp_scone_atc-seed1.jsonl": "23a74c5c811ca81c77ddaf0cad2f67fda56690fdc217d7440d27555d9ff6b5c3",
 }
 
 

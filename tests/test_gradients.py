@@ -14,10 +14,10 @@ from gradcheck import fd_grad, fd_param_grad, relative_error
 
 from sconelab.losses import (
     Hyperparams,
-    alm_in,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
+    total_loss,
 )
 from sconelab.model import (
     backward_from_logits,
@@ -45,13 +45,13 @@ TOL = 1e-4
 
 # Interior-ramp hyperparameters: keep the temporal hinge away from its kinks
 # so finite differences are clean. Each case places the energy margins
-# between energies of its own batches (straddling_hp).
-HP = Hyperparams(delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1.0)
+# between energies of its own batches (straddling_hp). The two hinge weights
+# differ, so a weight applied to the wrong term shows.
+HP = Hyperparams(delta_max=1.0, epsilon=0.01, omega=0.1, lambda_base=1.0, lambda_in=2.5)
 # Past-cap hyperparameters: delta_max sits well below the total drift of 0.2
 # that temporal_setup builds, so the temporal weight is clamped at
 # 2*lambda_base and the penalty is 2*lambda_base*d_tot.
 HP_PAST_CAP = replace(HP, delta_max=0.05)
-MULT = 0.7
 
 
 def _top_two_gap(params, x):
@@ -100,19 +100,12 @@ def straddling_hp(e_in, e_wild, hp=HP):
     return out
 
 
-def analytic_energy_loss(params, x, grad_fn, hp):
+def analytic_energy_loss(params, x, grad_fn, hp, weight=1.0):
+    """weight * the hinge grad_fn of x's energies, and its parameter gradient."""
     logits, acts = forward_cached(params, x)
     value, de = grad_fn(energy(logits), hp)
-    grads = backward_from_logits(params, acts, de[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
-    return value, grads
-
-
-def analytic_alm(params, x, hp):
-    logits, acts = forward_cached(params, x)
-    l_in_v, de = loss_in_grad(energy(logits), hp)
-    value, w = alm_in(l_in_v, MULT, hp)
-    grads = backward_from_logits(params, acts, (w * de)[:, None] * (-np.exp(log_softmax_energy(logits)[0])))
-    return value, grads
+    dz = (weight * de)[:, None] * (-np.exp(log_softmax_energy(logits)[0]))
+    return weight * value, backward_from_logits(params, acts, dz)
 
 
 def probe_score(params, x, mode, kind, delta):
@@ -177,13 +170,11 @@ def check_case(seed):
             fd_param_grad(lambda p: grad_fn(energy(forward(p, x)), hp)[0], params, STEP),
         )
 
-    _, grads = analytic_alm(params, x, hp)
-    errors["alm_in"] = relative_error(
+    _, grads = analytic_energy_loss(params, x, loss_in_grad, hp, hp.lambda_in)
+    errors["weighted_loss_in"] = relative_error(
         grads.vec,
         fd_param_grad(
-            lambda p: alm_in(loss_in_grad(energy(forward(p, x)), hp)[0], MULT, hp)[0],
-            params,
-            STEP,
+            lambda p: hp.lambda_in * loss_in_grad(energy(forward(p, x)), hp)[0], params, STEP
         ),
     )
 
@@ -229,7 +220,7 @@ def test_gradient_suite_all_terms():
         "cross_entropy",
         "loss_in",
         "loss_out",
-        "alm_in",
+        "weighted_loss_in",
         "temporal_atc_maxconf",
         "temporal_atc_negent",
         "temporal_ac",
@@ -291,17 +282,17 @@ def test_minibatch_composite_gradient():
             ce, _ = cross_entropy(forward(p, x), y)
             l_in_v = loss_in_grad(energy(forward(p, x)), hp)[0]
             l_out_v = loss_out_grad(energy(forward(p, wild)), hp)[0]
-            return ce + hp.lambda_out * l_out_v + alm_in(l_in_v, MULT, hp)[0] + temporal(p)
+            return ce + hp.lambda_in * l_in_v + hp.lambda_out * l_out_v + temporal(p)
 
         # one step per epoch, so the step takes the whole epoch temporal gradient
         cfg = RunConfig(hyper=hp, method=METHOD_TEMP_ATC, score_kind=kind)
-        (ce, _, l_out_v, alm_v), grads = _minibatch_loss_grads(params, x, y, wild, MULT, hp)
+        terms, grads = _minibatch_loss_grads(params, x, y, wild, hp)
         l_temp, _, _, _, g_temp = _epoch_temporal_term(
             params, FakeSplits, prev_scores, hp, cfg, delta
         )
         assert l_temp > 0.0
         grads.vec += g_temp.vec
-        reported = ce + hp.lambda_out * l_out_v + alm_v + l_temp
+        reported = total_loss(hp, *terms, l_temp=l_temp).total
         assert reported == pytest.approx(composite(params), abs=1e-12)
         err = relative_error(grads.vec, fd_param_grad(composite, params, STEP))
         assert err <= TOL, f"composite relative error {err:.3e}"

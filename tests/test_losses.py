@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from sconelab.losses import (
     Hyperparams,
     adaptive_weight,
-    alm_in,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
     total_loss,
-    update_multipliers,
 )
 
 
@@ -31,7 +29,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         hp(omega=0.0)
     with pytest.raises(ValueError):
-        hp(fpr_cutoff=1.0)
+        hp(lambda_in=-1.0)
 
 
 def test_loss_in_at_margin():
@@ -96,17 +94,6 @@ def test_empty_energy_batches_rejected():
         loss_out_grad(np.array([]), hp())
 
 
-def test_alm_in_satisfied_constraint_is_zero():
-    h = hp(fpr_cutoff=0.05, lambda_in=4.0)
-    assert alm_in(0.05, 3.0, h)[0] == pytest.approx(0.0)
-
-
-def test_alm_in_direct_arithmetic():
-    h = hp(fpr_cutoff=0.05, lambda_in=4.0)
-    # c = 0.1: 2*0.1 + 2*0.01 = 0.22
-    assert alm_in(0.15, 2.0, h) == pytest.approx((0.22, 2.4))
-
-
 def test_adaptive_weight_floor_cap_midpoint():
     h = hp(lambda_base=1.0, delta_max=0.2)
     # (w, d(w*d_tot)/d d_tot): the slope carries the product-rule term on the ramp
@@ -161,50 +148,29 @@ def test_temporal_loss_gated_below_tolerance():
 
 
 def test_total_loss_composition():
-    h = hp(lambda_out=0.5)
+    h = hp(lambda_out=0.5, lambda_in=2.0)
     assert total_loss(h, 0.0, 0.0, 0.0, 0.0, 0.0).total == 0.0
-    bd = total_loss(h, 1.0, 0.0, 0.4, 0.1, 0.0)
-    assert bd.total == pytest.approx(1.3)
+    bd = total_loss(h, 1.0, 0.25, 0.4, 0.1, 0.0)
+    assert bd.total == pytest.approx(1.0 + 2.0 * 0.25 + 0.5 * 0.4 + 0.1)
 
 
 def test_total_loss_reconstruction_invariant():
-    h = hp(lambda_out=0.7)
-    bd = total_loss(h, 0.83, 0.4, 0.21, 0.055, 0.0123, 1.5)
-    rebuilt = bd.ce + h.lambda_out * bd.l_out + bd.alm_in + bd.l_temp
+    h = hp(lambda_out=0.7, lambda_in=2.5)
+    bd = total_loss(h, 0.83, 0.4, 0.21, 0.0123, 1.5)
+    rebuilt = bd.ce + h.lambda_in * bd.l_in + h.lambda_out * bd.l_out + bd.l_temp
     assert abs(rebuilt - bd.total) <= 1e-12
 
 
 def test_total_loss_zero_temporal_weight_reduces_to_baseline_objective():
     h0 = hp(lambda_base=0.0)
-    bd = total_loss(h0, 0.8, 0.2, 0.3, 0.05, 0.0, 0.0)
-    assert bd.total == pytest.approx(0.8 + h0.lambda_out * 0.3 + 0.05)
+    bd = total_loss(h0, 0.8, 0.2, 0.3, 0.0, 0.0)
+    assert bd.total == pytest.approx(0.8 + h0.lambda_in * 0.2 + h0.lambda_out * 0.3)
     assert bd.l_temp == 0.0
 
 
 def test_total_loss_rejects_nonfinite_parts():
-    with pytest.raises(FloatingPointError):
-        total_loss(hp(), np.nan, 0.0, 0.0, 0.0, 0.0)
-
-
-def test_update_multipliers_zero_violation():
-    h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
-    assert update_multipliers(1.0, 0.05, h) == pytest.approx(1.0)
-
-
-def test_update_multipliers_arithmetic_and_clipping():
-    h = hp(fpr_cutoff=0.05, lr_lambda=1.0)
-    assert update_multipliers(0.0, 0.10, h) == pytest.approx(0.05)
-    assert update_multipliers(0.02, 0.0, h) == 0.0  # update of -0.03 clips at zero
-
-
-@given(st.floats(min_value=0, max_value=1), st.floats(min_value=0, max_value=5))
-@settings(max_examples=100, deadline=None)
-def test_multipliers_stay_nonnegative(l_in_value, lam):
-    assert update_multipliers(lam, l_in_value, hp(lr_lambda=2.0)) >= 0.0
-
-
-def test_multiplier_monotone_response():
-    h = hp(lr_lambda=0.5)
-    small = update_multipliers(1.0, 0.10, h)
-    large = update_multipliers(1.0, 0.30, h)
-    assert large > small
+    for term in range(4):  # ce, l_in, l_out, l_temp: every term the total adds
+        parts = [0.0] * 4
+        parts[term] = np.nan
+        with pytest.raises(FloatingPointError):
+            total_loss(hp(), *parts)

@@ -204,14 +204,14 @@ def test_evaluate_semantic_equals_id_gives_target_complement_fpr():
 
 def test_evaluate_loss_breakdown_reconstructs():
     cfg, splits = _splits()
-    hp = Hyperparams(lambda_out=0.5)
-    bd = total_loss(hp, 1.1, 0.4, 0.3, 0.07, 0.02, 1.2)
+    hp = Hyperparams(lambda_out=0.5, lambda_in=2.0)
+    bd = total_loss(hp, 1.1, 0.4, 0.3, 0.02, 1.2)
     params = init_params(5, 4, rng=np.random.default_rng(2))
     record = evaluate_timestep(
         params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), bd
     )
     loss = record.loss
-    rebuilt = loss.ce + hp.lambda_out * loss.l_out + loss.alm_in + loss.l_temp
+    rebuilt = loss.ce + hp.lambda_in * loss.l_in + hp.lambda_out * loss.l_out + loss.l_temp
     assert abs(rebuilt - loss.total) <= 1e-12
 
 
@@ -224,7 +224,7 @@ def test_record_serialization_round_trip():
         params, splits, ScoreKind.MAX_CONFIDENCE, 0.5, (0.0, 0.0), _zero_loss()
     )
     row = record.to_row()
-    assert len(row) == 18
+    assert len(row) == 17
     parsed = json.loads(record.to_json())
     assert parsed["t"] == splits.t
     assert parsed["id_acc"] == record.id_acc

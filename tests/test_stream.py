@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -201,9 +203,29 @@ def test_stream_config_schedule_validation():
             with pytest.raises(ValueError, match=rf"{name} must be in \[0, inf\)"):
                 cfg(**{name: (0.1, 0.1, bad, 0.1, 0.1)})
     c = cfg(regime="dynamic")
-    assert c.corruption_sigma[0] == 0.0
-    assert c.corruption_sigma[-1] == 1.0
-    assert len(c.pi_cov) == 5
+    assert c.schedule("corruption_sigma")[0] == 0.0
+    assert c.schedule("corruption_sigma")[-1] == 1.0
+    assert len(c.schedule("pi_cov")) == 5
+
+
+@pytest.mark.parametrize("given", [{}, dict(pi_cov=0.1, corruption_sigma=0.25)])
+def test_stream_config_replace_equals_fresh_config(given):
+    """A schedule is kept as given, so replacing the regime or the timestep
+    count gives the config built fresh with those values, schedules and all."""
+    base = StreamConfig(**given)
+    for change in (
+        dict(regime="distinct"),
+        dict(regime="dynamic"),
+        dict(num_timesteps=5),
+        dict(num_timesteps=1),
+        dict(regime="distinct", num_timesteps=3),
+    ):
+        replaced, fresh = replace(base, **change), StreamConfig(**given, **change)
+        assert replaced == fresh
+        for name in ("pi_cov", "pi_sem", "corruption_sigma"):
+            assert replaced.schedule(name) == fresh.schedule(name)
+    # the regime's own default ramp, not the one the base config resolved
+    assert replace(StreamConfig(), regime="distinct").schedule("corruption_sigma") == (0.5,) * 10
 
 
 def test_timestep_splits_deterministic_and_disjoint_ids():

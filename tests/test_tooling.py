@@ -1,6 +1,7 @@
 """Repository tooling: the pytest configuration, run on throwaway test files,
-and what a fresh `import sconelab.cli` loads."""
+what a fresh `import sconelab.cli` loads, and the package's unused imports."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,23 @@ def test_cli_import_loads_only_stdlib_numpy_and_sconelab():
     added = set(proc.stdout.split())
     assert {"numpy", "sconelab"} <= added
     assert added - set(sys.stdlib_module_names) == {"numpy", "sconelab"}
+
+
+def test_every_imported_name_is_used():
+    # a leftover import of a deleted code path is dead weight that reads as
+    # live; __init__ imports to re-export, so it is not checked
+    unused = []
+    for path in sorted((SRC / "sconelab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update({alias.asname or alias.name: node.lineno for alias in node.names})
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

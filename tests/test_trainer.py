@@ -1,17 +1,13 @@
+import sys
 from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
+from sconelab import metrics as metrics_mod
 from sconelab import model as model_mod
 from sconelab import trainer as trainer_mod
-from sconelab.losses import (
-    Hyperparams,
-    LossBreakdown,
-    loss_in_grad,
-    total_loss,
-    update_multipliers,
-)
+from sconelab.losses import Hyperparams, LossBreakdown, total_loss
 from sconelab.metrics import evaluate_timestep, fit_threshold, fpr_at_tpr
 from sconelab.model import OptimizerConfig, energy, forward, init_params
 from sconelab.scores import ScoreKind
@@ -77,8 +73,8 @@ def test_train_timestep_zero_epochs_is_identity():
 def test_mean_breakdown_is_fieldwise_mean_and_total_of_the_means():
     hp = Hyperparams(lambda_out=0.7)
     r = np.random.default_rng(1)
-    # six distinct terms per part, so a term read from the wrong field shows
-    parts = [total_loss(hp, *r.uniform(0.01, 2.0, size=6).tolist()) for _ in range(3)]
+    # five distinct terms per part, so a term read from the wrong field shows
+    parts = [total_loss(hp, *r.uniform(0.01, 2.0, size=5).tolist()) for _ in range(3)]
     mean = _mean_breakdown(parts, hp)
     terms = [f.name for f in fields(LossBreakdown)][:-1]
     expected = [float(np.mean([getattr(p, name) for p in parts])) for name in terms]
@@ -176,12 +172,10 @@ def test_run_state_hand_off():
     splits_0, params = _fresh_setup(cfg, t=0)
     state = RunState(params, params.zeros_like())
     train_timestep(state, splits_0, cfg)
-    # t = 0 fits delta on its final params, stores no probe scores and
-    # leaves the multiplier alone
+    # t = 0 fits delta on its final params and stores no probe scores
     delta_0 = trainer_mod._fit_delta(state.params, splits_0, kind)
     assert state.delta == delta_0
     assert state.prev_scores is None
-    assert state.lambda_in_mult == 0.0
     # run_stream stores the t = 0 probe scores of its own method
     probes_0 = (splits_0.probe_in, splits_0.probe_cov)
     state.prev_scores = trainer_mod._stored_scores(state.params, probes_0, cfg, state.delta)
@@ -192,9 +186,6 @@ def test_run_state_hand_off():
 
     splits_1, _ = _fresh_setup(cfg, t=1)
     record = train_timestep(state, splits_1, cfg)
-    # one epoch: one dual-ascent step on the full-split l_in of the final params
-    l_in = loss_in_grad(energy(forward(state.params, splits_1.train_x)), hp)[0]
-    assert state.lambda_in_mult == update_multipliers(0.0, l_in, hp) > 0.0
     # refit_delta moves delta after the record, which still uses t = 0's delta
     assert state.delta == trainer_mod._fit_delta(state.params, splits_1, kind) != delta_0
     drift = (record.drift_d_id, record.drift_d_cov)
@@ -202,14 +193,6 @@ def test_run_state_hand_off():
     refit = evaluate_timestep(state.params, splits_1, kind, state.delta, drift, record.loss)
     assert record == expected
     assert (refit.atc_in, refit.atc_cov) != (record.atc_in, record.atc_cov)
-
-    # t = 2 steps on from the multiplier t = 1 left
-    lambda_1 = state.lambda_in_mult
-    splits_2, _ = _fresh_setup(cfg, t=2)
-    train_timestep(state, splits_2, cfg)
-    l_in = loss_in_grad(energy(forward(state.params, splits_2.train_x)), hp)[0]
-    assert state.lambda_in_mult == update_multipliers(lambda_1, l_in, hp)
-    assert state.lambda_in_mult != update_multipliers(0.0, l_in, hp)
 
 
 def test_record_detection_fields_are_fpr_at_tpr():
@@ -251,7 +234,7 @@ def test_run_stream_single_timestep_is_ce_only():
     records = run_stream(cfg)
     assert len(records) == 1
     loss = records[0].loss
-    assert loss.l_out == 0.0 and loss.alm_in == 0.0 and loss.l_temp == 0.0
+    assert loss.l_in == 0.0 and loss.l_out == 0.0 and loss.l_temp == 0.0
     assert loss.total == loss.ce
 
 
@@ -353,28 +336,53 @@ def test_minibatch_loss_grads_rejects_nonfinite_logits(bad_batch):
     wild = r.normal(size=(6, 5))
     (x if bad_batch == "id" else wild)[2, 1] = np.nan
     with pytest.raises(ValueError, match="logits must be finite"):
-        _minibatch_loss_grads(params, x, r.integers(0, 4, size=6), wild, 0.0, Hyperparams())
+        _minibatch_loss_grads(params, x, r.integers(0, 4, size=6), wild, Hyperparams())
 
 
 def test_ce_only_config_trains_cross_entropy_alone():
-    """lambda_out = lambda_in = lr_lambda = 0 is the CE-only baseline: the
-    minibatch gradient is plain cross-entropy's and the multiplier stays 0."""
-    hp = Hyperparams(lambda_out=0.0, lambda_in=0.0, lr_lambda=0.0)
+    """lambda_out = lambda_in = 0 is the CE-only baseline: the minibatch
+    gradient is plain cross-entropy's, and the hinges are recorded but add
+    nothing to the total."""
+    hp = Hyperparams(lambda_out=0.0, lambda_in=0.0)
     r = np.random.default_rng(4)
     params = init_params(5, 4, hidden_sizes=(8,), rng=r)
     x, y = r.normal(size=(6, 5)), r.integers(0, 4, size=6)
-    terms, grads = _minibatch_loss_grads(params, x, y, r.normal(size=(6, 5)), 0.0, hp)
+    terms, grads = _minibatch_loss_grads(params, x, y, r.normal(size=(6, 5)), hp)
     (ce,), ce_grads = trainer_mod._ce_loss_grads(params, x, y)
-    assert terms[0] == ce and terms[3] == 0.0
+    assert terms[0] == ce and terms[1] > 0.0
     assert grads.vec.tobytes() == ce_grads.vec.tobytes()
 
     cfg = small_cfg(method="scone", hyper=hp)
     splits, params = _fresh_setup(cfg)
     state = RunState(params, params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
     record = train_timestep(state, splits, cfg)
-    assert state.lambda_in_mult == 0.0
-    assert record.loss.l_in > hp.fpr_cutoff  # the constraint is violated, yet nothing enforces it
+    assert record.loss.l_in > 0.0  # the ID hinge is unmet, yet adds nothing
     assert record.loss.total == record.loss.ce
+
+
+@pytest.mark.parametrize("refit_delta", [False, True])
+def test_trained_timestep_runs_no_forward_pass_on_its_training_split(monkeypatch, refit_delta):
+    """After t = 0, whole-split forward passes score the record
+    (evaluate_timestep) and, under refit_delta, refit delta on the
+    validation split (_fit_delta); none runs on the training split."""
+    cfg = small_cfg(refit_delta=refit_delta)
+    splits, params = _fresh_setup(cfg)
+    state = RunState(params, params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
+    calls = []  # (calling function, rows) of every forward pass
+
+    def spy(p, x):
+        calls.append((sys._getframe(1).f_code.co_name, x))
+        return model_mod.forward(p, x)
+
+    monkeypatch.setattr(trainer_mod, "forward", spy)
+    monkeypatch.setattr(metrics_mod, "forward", spy)
+    train_timestep(state, splits, cfg)
+    expected = [("evaluate_timestep", splits.test_id_x)]
+    expected += [("evaluate_timestep", splits.test_cov_x), ("evaluate_timestep", splits.test_sem_x)]
+    if refit_delta:
+        expected.append(("_fit_delta", splits.val_x))
+    assert [name for name, _ in calls] == [name for name, _ in expected]
+    assert all(x is rows for (_, x), (_, rows) in zip(calls, expected))
 
 
 @pytest.mark.parametrize("regime", ["dynamic", "distinct"])

@@ -66,93 +66,87 @@ TRAJECTORY_GOLDEN = {
         [
             [
                 0, 0.6766666666666666, 0.6766666666666666, 0.95, 1.2964102280426268, 0.35, 0.35,
-                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0,
-                0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
+                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0, 0.0,
+                0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.6533333333333333, 0.6466666666666666, 0.7766666666666666,
-                7.293111585993586, 0.0, 0.0, 0.614676525053402, 0.6143381509767135,
-                0.4383172355537749, 0.0, 0.564191675665924, 0.00046462270525736774,
-                29.300373583560685, 0.001226969682592602, 0.0, 0.0, 29.8657922289092,
+                1, 0.5, 0.5, 0.61, 6.419064228010992, 0.0, 0.0, 0.8205829634062471,
+                0.8181089352080053, 0.4449416487473278, 0.0, 1.1823847321397716,
+                0.16523706249080428, 16.851911781964645, 0.0, 0.0, 18.530007701576828,
             ],
             [
-                2, 0.12, 0.15333333333333332, 0.9866666666666667, 4.884347093205799,
-                0.006666666666666667, 0.0, 0.49014308427227227, 0.496895140715603, 0.0,
-                0.04818298173140462, 2.8507599906357246, 2.151413088521349, 7.717457557389121,
-                2.8369730504730994, 0.0, 0.0, 13.405190598497946,
+                2, 0.5, 0.49, 0.48, 5.675534600987067, 0.0, 0.0, 0.9036569950516903,
+                0.8861737123314785, 9.573325866667437e-05, 0.0, 1.147891370447604,
+                0.9563137031071814, 8.62817904805671, 0.0, 0.0, 12.645011527825858,
             ],
         ],
-        "2b82d2226a2cd08fc999db5bcd240fa0784488e145fd612694975511b05685a8",
+        "90e7060668b637f22fc3e14bd5ca3439588b5e87e4939a163c04185e5e619c21",
     ),
     "temp_scone_atc": (
         [
             [
                 0, 0.6766666666666666, 0.6766666666666666, 0.95, 1.2964102280426268, 0.35, 0.35,
-                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0,
-                0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
+                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0, 0.0,
+                0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.6466666666666666, 0.6433333333333333, 0.7766666666666666,
-                7.288799657595032, 0.0, 0.0033333333333333335, 0.6144007530582676,
-                0.6140448718360018, 0.438273290595442, 0.0, 0.5663351499784953,
-                0.0004498292972651477, 29.267580735097283, 0.0012276955854261514,
-                0.876546581190884, 2.0, 30.71169016185209,
+                1, 0.5, 0.5, 0.6066666666666667, 6.410212086541029, 0.0, 0.0, 0.824208722529049,
+                0.8217351446158144, 0.44494334907429633, 0.0, 1.1960294635592508,
+                0.16578062485860257, 16.880103306889772, 0.8898866981485926, 2.0,
+                19.463361343173425,
             ],
             [
-                2, 0.13, 0.16333333333333333, 0.9933333333333333, 4.883288586181132,
-                0.013333333333333334, 0.0033333333333333335, 0.4998699873614394,
-                0.5043555539238566, 0.0, 0.045355344774133347, 2.8523348289635053,
-                2.139753494615651, 7.778732979548759, 2.806424186890558, 0.05564088127203587,
-                1.2267767238706666, 13.493132876674858,
+                2, 0.5, 0.49, 0.48333333333333334, 5.674397964648445, 0.0, 0.0, 0.9039655954316811,
+                0.886403801553732, 8.799051254276317e-05, 3.7007932947396346e-05,
+                1.1521592122935844, 0.946334045533772, 8.662306470306081, 0.0, 0.0,
+                12.653467819200982,
             ],
         ],
-        "66e6166feca51391231b6a5d13c0852cedfb5c5184158f8304f00162e3ea0157",
+        "f29eb443ddfdbf3bf306b42de7d43bd5d52ca32b5ee5bd9fda19f54e3356ccd4",
     ),
     "temp_scone_ac": (
         [
             [
                 0, 0.6766666666666666, 0.6766666666666666, 0.95, 1.2964102280426268, 0.35, 0.35,
-                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0,
-                0.0, 0.0, 0.0, 0.0, 1.1448543155762578,
+                0.33633258824766427, 0.33633258824766427, 0.0, 0.0, 1.1448543155762578, 0.0, 0.0,
+                0.0, 0.0, 1.1448543155762578,
             ],
             [
-                1, 0.6533333333333333, 0.6466666666666666, 0.7733333333333333,
-                7.291427583575868, 0.0, 0.0, 0.6171329472097036, 0.6167776774905501, 0.0,
-                0.2793622017885246, 0.5659842338912148, 0.00046287806495319696,
-                29.313954222049176, 0.0012270561390437579, 0.5587244035770492, 2.0,
-                30.439889915656483,
+                1, 0.5, 0.5, 0.61, 6.406494502438064, 0.0, 0.0, 0.8097304297011324,
+                0.8073152767126356, 0.0, 0.5437648721306081, 1.1562475831584509,
+                0.1695073519673931, 16.677845287172275, 1.0875297442612162, 2.0,
+                19.430144670494123,
             ],
             [
-                2, 0.15, 0.16666666666666666, 0.9933333333333333, 4.884364964014337,
-                0.0033333333333333335, 0.0, 0.5112760995293282, 0.513570074617935,
-                0.122282790262151, 0.0, 2.853230927027516, 2.1305171908910006,
-                7.809132217059127, 2.7832235933153773, 0.19704819423363704, 1.6114139513107546,
-                13.642634931635659,
+                2, 0.5, 0.49, 0.4766666666666667, 5.657289159338736, 0.0, 0.0, 0.9072269668795631,
+                0.8899471530646518, 0.0, 0.0803218179292935, 1.1711295782406685,
+                0.9633050061901657, 8.604980472854365, 0.11257979010662637, 1.4016090896464675,
+                12.778604859772155,
             ],
         ],
-        "ccbe55a5bfbcc45a65e99895efe5b42b3200775fd0cdcb42d2e82c5ba6286f59",
+        "4abb413b4172b115ff471b1e06ecd510fb523a8ac2fa3489e913db60d3bd8ed2",
     ),
     "distinct": (
         [
             [
                 0, 0.5833333333333334, 0.58, 0.9733333333333334, 1.259430842835212, 0.35, 0.35,
-                0.3206319769868294, 0.3205997561693152, 0.0, 0.0, 1.246791830759166, 0.0, 0.0,
-                0.0, 0.0, 0.0, 1.246791830759166,
+                0.3206319769868294, 0.3205997561693152, 0.0, 0.0, 1.246791830759166, 0.0, 0.0, 0.0,
+                0.0, 1.246791830759166,
             ],
             [
-                1, 0.65, 0.6366666666666667, 0.75, 6.9489342194141095, 0.0, 0.0,
-                0.5214101832230904, 0.5238356684310137, 0.4748390500750471, 0.0,
-                1.053148668313671, 0.0, 27.52817571554458, 0.0012500000000000002,
-                0.9496781001500944, 2.0, 29.532252484008346,
+                1, 0.5066666666666667, 0.52, 0.6833333333333333, 5.6476392382351195,
+                0.0033333333333333335, 0.0033333333333333335, 0.7720600454174706,
+                0.7717383469320602, 0.4906411144153632, 0.0, 1.5559746438258406,
+                1.2431357261022786, 10.78030184515139, 0.9812822288307265, 2.0, 17.04696589611479,
             ],
             [
-                2, 0.5166666666666667, 0.5033333333333333, 1.0, 5.376625017107227,
-                0.41333333333333333, 0.4, 0.4256698941596086, 0.42671395907144793, 0.0,
-                0.3536329217157217, 1.4839365586804492, 0.6665519455655569, 11.613536994797533,
-                0.23431590539520805, 0.7072658434314434, 2.0, 14.039055302304634,
+                2, 0.38666666666666666, 0.37333333333333335, 0.9866666666666667, 5.596896876201419,
+                0.53, 0.5366666666666666, 0.6922795598870668, 0.6911710608827168, 0.0,
+                0.5043248668446189, 2.633246595688596, 0.735728094069143, 10.537129802757569,
+                1.0086497336892377, 2.0, 16.386210414342834,
             ],
         ],
-        "eb2b2bb06f26aa85ad9d12c5cfdc8e988cd619c99dbc27cb228deaa551201cf9",
+        "a66dfa97287988def5ec70931a47fd2af8df7bd958a1c6b78b3d98bcdd1407cb",
     ),
 }
 
