@@ -7,18 +7,18 @@ term is mean max(0, m_out - E)^2, which pushes wild energies above m_out.
 Both are one signed function, _margin_grad, under two public names, and
 each enters the objective with a fixed weight, lambda_in and lambda_out, as
 in Liu et al. Each term is one function that returns its value with its
-derivatives. The functions here are stateless: the previous timestep's
-probe scores are plain floats that the trainer's RunState carries and
-passes in.
+derivatives. The functions here are stateless: the anchor, the scores of
+the previous timestep's probes, is a pair of plain floats that the
+trainer computes and passes in.
 
 The temporal drift penalty is asymmetric: it fires when the ID probe score
-falls below, or the covariate probe score rises above, the value the
-previous timestep stored, and only once total drift exceeds the tolerance.
-Its adaptive weight ramps from lambda_base to 2*lambda_base as total drift
-approaches delta_max and holds at 2*lambda_base past it, so the penalty
-grows as 2*lambda_base*d_tot there. The weight is part of the
-differentiated expression: adaptive_weight(d_tot) returns the weight and
-the slope of w*d_tot, which includes the product-rule term on the ramp.
+falls below, or the covariate probe score rises above, its anchor value,
+and only once total drift exceeds the tolerance. Its adaptive weight
+ramps from lambda_base to 2*lambda_base as total drift approaches
+delta_max and holds at 2*lambda_base past it, so the penalty grows as
+2*lambda_base*d_tot there. The weight is part of the differentiated
+expression: adaptive_weight(d_tot) returns the weight and the slope of
+w*d_tot, which includes the product-rule term on the ramp.
 """
 
 from __future__ import annotations
@@ -102,19 +102,20 @@ def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
 
 
 def temporal_loss_grad(
-    prev_scores: tuple[float, float], s_in_t: float, s_cov_t: float, hp: Hyperparams
+    anchor: tuple[float, float], s_in_t: float, s_cov_t: float, hp: Hyperparams
 ):
     """Temporal drift penalty and its score slopes; returns
     (l_temp, w_temp, d_id, d_cov, d l_temp/d s_in, d l_temp/d s_cov).
 
-    prev_scores holds the (ID, covariate) probe scores the previous timestep
-    stored. They are constants (no gradient flows into the past). The penalty
-    is zero whenever total drift stays within the tolerance. With
+    anchor holds the (ID, covariate) scores of the previous timestep's
+    probes under the model that entered this timestep. They are constants
+    (no gradient flows into the past). The penalty is zero whenever total
+    drift stays within the tolerance. With
     d_tot = d_id + d_cov, dl/dd_tot is 0 within epsilon, lambda_base*(1 + 2*d_tot/delta_max) on
     the ramp and 2*lambda_base from delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and
     d l/d s_cov is +dl/dd_tot while d_cov > 0; both are 0 otherwise.
     """
-    prev_in, prev_cov = prev_scores
+    prev_in, prev_cov = anchor
     d_id = max(0.0, prev_in - s_in_t)
     d_cov = max(0.0, s_cov_t - prev_cov)
     d_tot = d_id + d_cov

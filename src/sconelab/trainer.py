@@ -6,15 +6,17 @@ the temporal penalty. Both run through train_timestep's one epoch loop.
 The temporal term is evaluated once per epoch on fixed probe
 subsets; its value stays constant across the epoch's minibatches and its
 parameter gradient is folded into every minibatch step scaled by
-1/(#minibatches). The probe scores stored at the end of a timestep, which
-the next timestep's drift is measured against, come from the same helper
-and logits formula as the epoch term. Apart from these probe passes, a
+1/(#minibatches). Its drift is measured against the anchor: the
+previous timestep's probes, scored once at the start of the timestep by
+the incoming model under the current delta, with the same helper and
+logits formula as the epoch term. Apart from these probe passes, a
 timestep runs whole-split forward passes only to score its record and,
 under refit_delta, to refit delta.
 
 One RunState carries a run from one timestep to the next: the model and
-its momentum, the stored probe scores and the ATC threshold delta.
-train_timestep updates it in place and returns the timestep's record.
+its momentum, the previous timestep's probe batches and the ATC
+threshold delta. None of it depends on the method. train_timestep
+updates it in place and returns the timestep's record.
 
 Timestep 0 reads no method-specific field, so initialize trains it once
 into a frozen Initialization and run_stream starts any method of the same
@@ -109,16 +111,17 @@ class RunConfig:
 class RunState:
     """What one timestep hands to the next, updated in place by train_timestep.
 
-    prev_scores holds the (ID, covariate) probe scores of the last finished
-    timestep and delta the ATC threshold. Timestep 0 fits delta only;
-    run_stream stores its own method's scores from Initialization.probes.
-    The hinges' weights are fixed knobs of Hyperparams, so no loss weight
-    is carried from one timestep to the next.
+    probes holds the (ID, covariate) probe batches of the last finished
+    timestep and delta the ATC threshold; both are None before timestep 0.
+    The next timestep scores the probes itself, with its incoming params
+    and delta, so nothing here depends on the method. The hinges' weights
+    are fixed knobs of Hyperparams, so no loss weight is carried from one
+    timestep to the next.
     """
 
     params: ModelParams
     momentum: ModelParams
-    prev_scores: tuple[float, float] | None = None
+    probes: tuple[np.ndarray, np.ndarray] | None = None
     delta: float | None = None
 
 
@@ -126,28 +129,25 @@ class RunState:
 class Initialization:
     """Timestep 0 of a run, as initialize trained it under cfg.
 
-    params, momentum and delta are the state after t = 0, record its
-    MetricsRecord and probes its (ID, covariate) probe batches. Nothing in
-    it depends on cfg.method, so run_stream starts every method of cfg
-    from one Initialization; it copies params and momentum and never
-    writes to the arrays held here. Two are equal only if they are the
-    same object.
+    state is the RunState after t = 0 and record its MetricsRecord. Nothing
+    in it depends on cfg.method, so run_stream starts every method of cfg
+    from one Initialization; it trains copies of state's params and
+    momentum and never writes to the arrays held here. Two are equal only
+    if they are the same object.
     """
 
     cfg: RunConfig
-    params: ModelParams
-    momentum: ModelParams
-    delta: float
+    state: RunState
     record: MetricsRecord
-    probes: tuple[np.ndarray, np.ndarray]
 
 
 def _probe_score(params, probe, cfg: RunConfig, delta):
     """cfg's score of one probe batch, AC for temp_scone_ac and ATC
     otherwise: (score, dscore/dlogits, activations).
 
-    Both the epoch temporal term and the scores stored for the next
-    timestep come from here, so an unchanged model measures zero drift.
+    Both the epoch temporal term and the anchor it is measured against come
+    from here, under the same delta, so an unchanged model measures zero
+    drift on its own probes.
     """
     logits, acts = forward_cached(params, probe)
     if cfg.method == METHOD_TEMP_AC:
@@ -155,18 +155,12 @@ def _probe_score(params, probe, cfg: RunConfig, delta):
     return (*diff_atc_grad_logits(logits, cfg.score_kind, delta, cfg.hyper.omega), acts)
 
 
-def _stored_scores(params, probes, cfg: RunConfig, delta) -> tuple[float, float]:
-    """The (ID, covariate) probe scores a finished timestep hands to the next."""
-    return tuple(_probe_score(params, probe, cfg, delta)[0] for probe in probes)
-
-
-def _epoch_temporal_term(params, splits, prev_scores, hp, cfg: RunConfig, delta):
-    """Epoch-constant temporal loss, weight, drifts and gradient (None if no term fires)."""
+def _epoch_temporal_term(params, splits, anchor, hp, cfg: RunConfig, delta):
+    """Epoch-constant temporal loss, weight, drifts from anchor and gradient
+    (None if no term fires)."""
     s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, cfg, delta)
     s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, cfg, delta)
-    l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(
-        prev_scores, s_in, s_cov, hp
-    )
+    l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(anchor, s_in, s_cov, hp)
     parts = [
         backward_from_logits(params, acts, dl * dz)
         for dl, acts, dz in ((dl_dsin, acts_in, dz_in), (dl_dscov, acts_cov, dz_cov))
@@ -234,11 +228,13 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     """One timestep of training; updates state in place and returns the record.
 
     Timestep 0 is initialization: cross-entropy only, with no wild batches
-    or temporal term; delta is fit on its validation split and no probe
-    scores are stored. Later timesteps train the full objective,
-    store the final parameters' probe scores for the next timestep, and
-    refit delta after the record when cfg.refit_delta is set, so both the
-    scores and the record use the delta from before the refit.
+    or temporal term; delta is fit on its validation split. Later timesteps
+    first score state.probes, the previous timestep's probes, with the
+    incoming params under state.delta: that anchor is what every epoch's
+    temporal term measures drift against. They then train the full
+    objective, and refit delta after the record when cfg.refit_delta is
+    set, so the record uses the delta the timestep trained under. Every
+    timestep ends by leaving its own probes in state for the next one.
     """
     hp = cfg.effective_hyper()
     params = state.params
@@ -254,13 +250,15 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     kind = cfg.score_kind
     last_epoch_parts: list[LossBreakdown] = []
     d_id = d_cov = 0.0
+    if wild:
+        anchor = tuple(_probe_score(params, probe, cfg, state.delta)[0] for probe in state.probes)
 
     for epoch in range(cfg.epochs_per_timestep):
         l_temp = w_temp = 0.0
         temporal_active = False
         if wild:
             l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
-                params, splits, state.prev_scores, hp, cfg, state.delta
+                params, splits, anchor, hp, cfg, state.delta
             )
             temporal_active = l_temp != 0.0
             if temporal_active:
@@ -286,16 +284,14 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             sgd_step(params, grads, state.momentum, step_index, total_steps, cfg.optimizer)
         last_epoch_parts = epoch_parts
 
-    if wild:
-        probes = (splits.probe_in, splits.probe_cov)
-        state.prev_scores = _stored_scores(params, probes, cfg, state.delta)
-    else:
+    if not wild:
         state.delta = _fit_delta(params, splits, kind)
     record = evaluate_timestep(
         params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
     )
     if wild and cfg.refit_delta:
         state.delta = _fit_delta(params, splits, kind)
+    state.probes = (splits.probe_in, splits.probe_cov)
     return record
 
 
@@ -311,10 +307,8 @@ def initialize(cfg: RunConfig) -> Initialization:
         dims = (cfg.stream.input_dim, cfg.stream.num_classes, cfg.hidden_sizes)
         params = init_params(*dims, substream(cfg.seed, PURPOSE_INIT))
         state = RunState(params=params, momentum=params.zeros_like())
-        splits = _splits(cfg, 0)
-        record = train_timestep(state, splits, cfg)
-        probes = (splits.probe_in, splits.probe_cov)
-        return Initialization(cfg, state.params, state.momentum, state.delta, record, probes)
+        record = train_timestep(state, _splits(cfg, 0), cfg)
+        return Initialization(cfg, state, record)
 
 
 def run_stream(
@@ -324,8 +318,9 @@ def run_stream(
 
     Timestep 0 comes from init, which initialize(cfg) trains when none is
     given; an init must have been trained under cfg up to its method, else
-    ValueError. The run stores its own method's probe scores from the init's
-    probes and delta. When param_trace is a list, a copy of the parameters
+    ValueError. The run trains copies of the init state's params and
+    momentum, and its timestep 1 scores the init's probes under its own
+    method. When param_trace is a list, a copy of the parameters
     is appended after every timestep (used by trajectory-equality tests).
     Training runs on one BLAS thread; the caller's thread count is restored
     on return.
@@ -335,11 +330,11 @@ def run_stream(
     elif replace(init.cfg, method=cfg.method) != cfg:
         raise ValueError("init was trained under another config than this run, beyond its method")
     with single_blas_thread():
-        state = RunState(init.params.copy(), init.momentum.copy(), delta=init.delta)
-        state.prev_scores = _stored_scores(state.params, init.probes, cfg, init.delta)
+        start = init.state
+        state = replace(start, params=start.params.copy(), momentum=start.momentum.copy())
         records = [init.record]
         if param_trace is not None:
-            param_trace.append(init.params.copy())
+            param_trace.append(start.params.copy())
         for t in range(1, cfg.stream.num_timesteps):
             records.append(train_timestep(state, _splits(cfg, t), cfg))
             if param_trace is not None:

@@ -634,7 +634,7 @@ def test_cli_grid_trains_timestep_zero_once_per_seed(tmp_path, monkeypatch):
 def test_cli_grid_leaves_initialization_unchanged(tmp_path, monkeypatch):
     # every method of a seed trains from the same, unwritten timestep 0
     def snapshot(init):
-        return init.params.vec.tobytes(), init.momentum.vec.tobytes()
+        return init.state.params.vec.tobytes(), init.state.momentum.vec.tobytes()
 
     inits, starts = [], []
 

@@ -122,7 +122,7 @@ def temporal_setup(params, x_in, x_cov, mode, kind, delta):
     return s_in + 0.1, s_cov - 0.1
 
 
-def analytic_temporal(params, x_in, x_cov, prev_scores, mode, kind, delta, hp=HP):
+def analytic_temporal(params, x_in, x_cov, anchor, mode, kind, delta, hp=HP):
     logits_in, acts_in = forward_cached(params, x_in)
     logits_cov, acts_cov = forward_cached(params, x_cov)
     if mode == "atc":
@@ -131,7 +131,7 @@ def analytic_temporal(params, x_in, x_cov, prev_scores, mode, kind, delta, hp=HP
     else:
         s_in, dz_in = diff_ac_grad_logits(logits_in)
         s_cov, dz_cov = diff_ac_grad_logits(logits_cov)
-    value, _, _, _, dl_in, dl_cov = temporal_loss_grad(prev_scores, s_in, s_cov, hp)
+    value, _, _, _, dl_in, dl_cov = temporal_loss_grad(anchor, s_in, s_cov, hp)
     grads = params.zeros_like()
     if dl_in:
         grads.vec += backward_from_logits(params, acts_in, dl_in * dz_in).vec
@@ -140,11 +140,11 @@ def analytic_temporal(params, x_in, x_cov, prev_scores, mode, kind, delta, hp=HP
     return value, grads
 
 
-def numeric_temporal_fn(x_in, x_cov, prev_scores, mode, kind, delta, hp=HP):
+def numeric_temporal_fn(x_in, x_cov, anchor, mode, kind, delta, hp=HP):
     def fn(p):
         s_in = probe_score(p, x_in, mode, kind, delta)
         s_cov = probe_score(p, x_cov, mode, kind, delta)
-        value, _, _, _, _, _ = temporal_loss_grad(prev_scores, s_in, s_cov, hp)
+        value, _, _, _, _, _ = temporal_loss_grad(anchor, s_in, s_cov, hp)
         return value
 
     return fn
@@ -193,13 +193,13 @@ def temporal_errors(params, x, x_cov, delta, hp):
     """Returns {temporal label: relative error} under the given hyperparameters."""
     errors = {}
     for label, mode, kind in TEMPORAL_CASES:
-        prev_scores = temporal_setup(params, x, x_cov, mode, kind, delta)
-        value, grads = analytic_temporal(params, x, x_cov, prev_scores, mode, kind, delta, hp=hp)
+        anchor = temporal_setup(params, x, x_cov, mode, kind, delta)
+        value, grads = analytic_temporal(params, x, x_cov, anchor, mode, kind, delta, hp=hp)
         assert value > 0.0  # both hinges active by construction
         errors[label] = relative_error(
             grads.vec,
             fd_param_grad(
-                numeric_temporal_fn(x, x_cov, prev_scores, mode, kind, delta, hp=hp), params, STEP
+                numeric_temporal_fn(x, x_cov, anchor, mode, kind, delta, hp=hp), params, STEP
             ),
         )
     return errors
@@ -272,8 +272,8 @@ def test_minibatch_composite_gradient():
         r, params, x, y, x_cov = random_case(500 + seed)
         wild = r.normal(scale=1.5, size=(7, params.input_dim))
         hp = straddling_hp(energy(forward(params, x)), energy(forward(params, wild)), base_hp)
-        prev_scores = temporal_setup(params, x, x_cov, "atc", kind, delta)
-        temporal = numeric_temporal_fn(x, x_cov, prev_scores, "atc", kind, delta, hp=hp)
+        anchor = temporal_setup(params, x, x_cov, "atc", kind, delta)
+        temporal = numeric_temporal_fn(x, x_cov, anchor, "atc", kind, delta, hp=hp)
 
         class FakeSplits:
             probe_in, probe_cov = x, x_cov
@@ -288,7 +288,7 @@ def test_minibatch_composite_gradient():
         cfg = RunConfig(hyper=hp, method=METHOD_TEMP_ATC, score_kind=kind)
         terms, grads = _minibatch_loss_grads(params, x, y, wild, hp)
         l_temp, _, _, _, g_temp = _epoch_temporal_term(
-            params, FakeSplits, prev_scores, hp, cfg, delta
+            params, FakeSplits, anchor, hp, cfg, delta
         )
         assert l_temp > 0.0
         grads.vec += g_temp.vec
@@ -302,7 +302,7 @@ def test_epoch_temporal_term_matches_finite_differences():
     """The trainer's epoch-level temporal gradient is the analytic one."""
     r, params, x, y, x_cov = random_case(900)
     delta = 0.6
-    prev_scores = temporal_setup(params, x, x_cov, "atc", ScoreKind.MAX_CONFIDENCE, delta)
+    anchor = temporal_setup(params, x, x_cov, "atc", ScoreKind.MAX_CONFIDENCE, delta)
 
     class FakeSplits:
         probe_in = x
@@ -310,11 +310,11 @@ def test_epoch_temporal_term_matches_finite_differences():
 
     cfg = RunConfig(hyper=HP, method=METHOD_TEMP_ATC, score_kind=ScoreKind.MAX_CONFIDENCE)
     l_temp, w_temp, d_id, d_cov, grad = _epoch_temporal_term(
-        params, FakeSplits, prev_scores, HP, cfg, delta
+        params, FakeSplits, anchor, HP, cfg, delta
     )
     assert l_temp > 0 and d_id > 0 and d_cov > 0
     numeric = fd_param_grad(
-        numeric_temporal_fn(x, x_cov, prev_scores, "atc", ScoreKind.MAX_CONFIDENCE, delta),
+        numeric_temporal_fn(x, x_cov, anchor, "atc", ScoreKind.MAX_CONFIDENCE, delta),
         params,
         STEP,
     )

@@ -1,5 +1,5 @@
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,10 @@ def params_equal(a, b):
     )
 
 
+def _probes(splits):
+    return splits.probe_in, splits.probe_cov
+
+
 def _fresh_setup(cfg, t=1):
     splits = trainer_mod._splits(cfg, t)
     params = init_params(
@@ -62,7 +66,7 @@ def _fresh_setup(cfg, t=1):
 def test_train_timestep_zero_epochs_is_identity():
     cfg = small_cfg(epochs_per_timestep=0)
     splits, params = _fresh_setup(cfg)
-    state = RunState(params.copy(), params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
+    state = RunState(params.copy(), params.zeros_like(), _probes(splits), delta=0.5)
     record = train_timestep(state, splits, cfg)
     assert params_equal(state.params, params)
     assert record.t == splits.t
@@ -87,7 +91,7 @@ def test_mean_breakdown_is_fieldwise_mean_and_total_of_the_means():
 def test_temporal_loss_constant_within_epoch(monkeypatch):
     cfg = small_cfg(epochs_per_timestep=4)
     splits, params = _fresh_setup(cfg)
-    state = RunState(params.copy(), params.zeros_like(), prev_scores=(0.9, 0.1), delta=0.5)
+    state = RunState(params.copy(), params.zeros_like(), _probes(splits), delta=0.5)
     values = []
     temporal_loss_grad = trainer_mod.temporal_loss_grad
 
@@ -112,36 +116,31 @@ def test_temporal_loss_constant_within_epoch(monkeypatch):
     ],
 )
 def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
-    """The scores stored after a timestep are, bit for bit, those the epoch
-    temporal term computes from the same parameters and probes, so an
-    unchanged model measures a drift of exactly 0.0. Checked from every
-    parameter set of a trained run's trace."""
+    """The anchor a timestep scores from the probes it is handed is, bit for
+    bit, what its first epoch's temporal term computes from the same
+    parameters and probes, so an unchanged model measures a drift of
+    exactly 0.0. Checked from every parameter set of a trained run's trace."""
     cfg = small_cfg(method=method, score_kind=kind, epochs_per_timestep=10)
-    hp = cfg.effective_hyper()
     trace = []
     run_stream(cfg, param_trace=trace)
     splits, _ = _fresh_setup(cfg, t=2)
     seen = []
     temporal_loss_grad = trainer_mod.temporal_loss_grad
 
-    def spy(prev_scores, s_in, s_cov, hp):
-        seen.append((s_in, s_cov))
-        return temporal_loss_grad(prev_scores, s_in, s_cov, hp)
+    def spy(anchor, s_in, s_cov, hp):
+        out = temporal_loss_grad(anchor, s_in, s_cov, hp)
+        seen.append((anchor, (s_in, s_cov), out[2:4]))
+        return out
 
     monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    replay = replace(cfg, epochs_per_timestep=1)
     for trained in trace:
-        state = RunState(
-            trained.copy(),
-            trained.zeros_like(),
-            prev_scores=(0.0, 1.0),  # scores lie in [0, 1], so no drift fires
-            delta=trainer_mod._fit_delta(trained, splits, kind),
-        )
-        train_timestep(state, splits, cfg)
-        _, _, d_id, d_cov, _ = trainer_mod._epoch_temporal_term(
-            state.params, splits, state.prev_scores, hp, cfg, state.delta
-        )
-        assert seen[-1] == state.prev_scores
-        assert d_id == 0.0 and d_cov == 0.0
+        delta = trainer_mod._fit_delta(trained, splits, kind)
+        state = RunState(trained.copy(), trained.zeros_like(), _probes(splits), delta)
+        train_timestep(state, splits, replay)
+        anchor, scores, drift = seen[-1]
+        assert anchor == scores
+        assert drift == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac"])
@@ -165,27 +164,36 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
     assert l_temp > 0.0 and np.isfinite(g_temp.vec).all()
 
 
-def test_run_state_hand_off():
-    """What each timestep leaves in RunState for the next one."""
+def test_run_state_hand_off(monkeypatch):
+    """What each timestep leaves in RunState for the next one, and how the
+    next one reads it."""
     cfg = small_cfg(epochs_per_timestep=1, refit_delta=True)
-    hp, kind = cfg.effective_hyper(), cfg.score_kind
+    kind = cfg.score_kind
     splits_0, params = _fresh_setup(cfg, t=0)
     state = RunState(params, params.zeros_like())
     train_timestep(state, splits_0, cfg)
-    # t = 0 fits delta on its final params and stores no probe scores
+    # t = 0 fits delta on its final params and leaves its own probes
     delta_0 = trainer_mod._fit_delta(state.params, splits_0, kind)
     assert state.delta == delta_0
-    assert state.prev_scores is None
-    # run_stream stores the t = 0 probe scores of its own method
-    probes_0 = (splits_0.probe_in, splits_0.probe_cov)
-    state.prev_scores = trainer_mod._stored_scores(state.params, probes_0, cfg, state.delta)
-    assert state.prev_scores == tuple(
-        trainer_mod._probe_score(state.params, probe, cfg, delta_0)[0]
-        for probe in probes_0
-    )
+    assert all(a is b for a, b in zip(state.probes, _probes(splits_0)))
 
+    # t = 1 scores those probes once, with the params it starts from, under
+    # delta_0: that anchor is what its epoch term measures drift against
+    anchor = tuple(
+        trainer_mod._probe_score(state.params, probe, cfg, delta_0)[0] for probe in state.probes
+    )
+    seen = []
+    temporal_loss_grad = trainer_mod.temporal_loss_grad
+
+    def spy(*args):
+        seen.append(args[0])
+        return temporal_loss_grad(*args)
+
+    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
     splits_1, _ = _fresh_setup(cfg, t=1)
     record = train_timestep(state, splits_1, cfg)
+    assert seen == [anchor]
+    assert all(a is b for a, b in zip(state.probes, _probes(splits_1)))
     # refit_delta moves delta after the record, which still uses t = 0's delta
     assert state.delta == trainer_mod._fit_delta(state.params, splits_1, kind) != delta_0
     drift = (record.drift_d_id, record.drift_d_cov)
@@ -223,10 +231,19 @@ def test_scone_reduction_bitwise_identical():
 
 
 def test_temporal_weight_changes_trajectory():
-    # sanity: with a nonzero temporal weight the two methods may not collapse
-    recs_scone = run_stream(small_cfg(method="scone"))
-    recs_temp = run_stream(small_cfg(method="temp_scone_atc"))
-    assert len(recs_scone) == len(recs_temp) == 3
+    """On small_cfg the temporal term fires at t = 1, past delta_max, so at
+    the capped weight 2 * lambda_base, and moves temp_scone_atc off scone's
+    trajectory from there on. Both train the same timestep 0."""
+    traces = {"scone": [], "temp_scone_atc": []}
+    records = {m: run_stream(small_cfg(method=m), param_trace=traces[m]) for m in traces}
+    scone, temp = records["scone"], records["temp_scone_atc"]
+    assert [r.loss.l_temp for r in scone] == [r.loss.w_temp for r in scone] == [0.0] * 3
+    assert temp[1].loss.l_temp == pytest.approx(0.706, abs=5e-4)
+    assert temp[1].loss.w_temp == 2.0 * small_cfg().hyper.lambda_base
+    same = [params_equal(a, b) for a, b in zip(traces["scone"], traces["temp_scone_atc"])]
+    assert same == [True, False, False]
+    assert scone[0] == temp[0]
+    assert scone[1] != temp[1] and scone[2] != temp[2]
 
 
 def test_run_stream_single_timestep_is_ce_only():
@@ -239,7 +256,8 @@ def test_run_stream_single_timestep_is_ce_only():
 
 
 def test_initialize_stores_no_probe_scores(monkeypatch):
-    """Timestep 0 scores no probe: each run_stream stores its own method's."""
+    """Timestep 0 scores no probe: it leaves its probe batches, and each
+    run_stream's timestep 1 scores them under its own method."""
     calls = []
     probe_score = trainer_mod._probe_score
 
@@ -248,11 +266,53 @@ def test_initialize_stores_no_probe_scores(monkeypatch):
         return probe_score(*args)
 
     monkeypatch.setattr(trainer_mod, "_probe_score", spy)
-    init = initialize(small_cfg())
+    cfg = small_cfg()
+    init = initialize(cfg)
     assert calls == []
-    # the spy sees the calls run_stream makes from the init
-    trainer_mod._stored_scores(init.params, init.probes, init.cfg, init.delta)
-    assert len(calls) == 2
+    probes_0 = _probes(trainer_mod._splits(cfg, 0))
+    assert all(np.array_equal(a, b) for a, b in zip(init.state.probes, probes_0))
+
+
+@pytest.mark.parametrize("method", trainer_mod.METHODS)
+def test_run_scores_each_probe_batch_it_reads(monkeypatch, method):
+    """Every trained timestep scores the two probes it was handed once, for
+    its anchor, and its own two in every epoch; no timestep scores probes
+    that nothing reads."""
+    cfg = small_cfg(method=method)
+    calls = []
+    probe_score = trainer_mod._probe_score
+
+    def spy(*args):
+        calls.append(args)
+        return probe_score(*args)
+
+    monkeypatch.setattr(trainer_mod, "_probe_score", spy)
+    run_stream(cfg)
+    timesteps, epochs = cfg.stream.num_timesteps, cfg.epochs_per_timestep
+    assert len(calls) == (timesteps - 1) * 2 * (epochs + 1)
+
+
+@pytest.mark.parametrize("refit_delta", [False, True])
+@pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac"])
+def test_unchanged_model_measures_zero_drift_on_its_own_anchor(monkeypatch, method, refit_delta):
+    """Timestep 2 replays timestep 1's splits, so its first epoch scores the
+    very probes its anchor came from, with the model that finished them:
+    the drift is exactly 0.0, also after refit_delta moved delta."""
+    cfg = small_cfg(method=method, refit_delta=refit_delta)
+    splits = trainer_mod._splits
+    monkeypatch.setattr(trainer_mod, "_splits", lambda c, t: splits(c, min(t, 1)))
+    seen = []
+    temporal_loss_grad = trainer_mod.temporal_loss_grad
+
+    def spy(*args):
+        out = temporal_loss_grad(*args)
+        seen.append(out[2:4])
+        return out
+
+    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    run_stream(cfg)
+    assert len(seen) == 2 * cfg.epochs_per_timestep
+    assert seen[cfg.epochs_per_timestep] == (0.0, 0.0)  # timestep 2, first epoch
 
 
 @pytest.mark.parametrize("change", [dict(seed=1), dict(hidden_sizes=(16, 8))])
@@ -266,11 +326,15 @@ def test_run_stream_rejects_initialization_of_another_config(change):
 def test_run_stream_leaves_initialization_unchanged(method):
     # sgd_step writes in place, so the run must train copies of the init's arrays
     init = initialize(small_cfg())
-    params, momentum = init.params.vec.tobytes(), init.momentum.vec.tobytes()
+    start = init.state
+    params, momentum = start.params.vec.tobytes(), start.momentum.vec.tobytes()
+    probes, delta = start.probes, start.delta
     trace = []
     run_stream(small_cfg(method), param_trace=trace, init=init)
-    assert init.params.vec.tobytes() == params
-    assert init.momentum.vec.tobytes() == momentum
+    assert init.state is start
+    assert start.params.vec.tobytes() == params
+    assert start.momentum.vec.tobytes() == momentum
+    assert start.probes is probes and start.delta == delta
     assert trace[-1].vec.tobytes() != params
 
 
@@ -354,7 +418,7 @@ def test_ce_only_config_trains_cross_entropy_alone():
 
     cfg = small_cfg(method="scone", hyper=hp)
     splits, params = _fresh_setup(cfg)
-    state = RunState(params, params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
+    state = RunState(params, params.zeros_like(), _probes(splits), delta=0.5)
     record = train_timestep(state, splits, cfg)
     assert record.loss.l_in > 0.0  # the ID hinge is unmet, yet adds nothing
     assert record.loss.total == record.loss.ce
@@ -367,7 +431,7 @@ def test_trained_timestep_runs_no_forward_pass_on_its_training_split(monkeypatch
     validation split (_fit_delta); none runs on the training split."""
     cfg = small_cfg(refit_delta=refit_delta)
     splits, params = _fresh_setup(cfg)
-    state = RunState(params, params.zeros_like(), prev_scores=(0.5, 0.5), delta=0.5)
+    state = RunState(params, params.zeros_like(), _probes(splits), delta=0.5)
     calls = []  # (calling function, rows) of every forward pass
 
     def spy(p, x):

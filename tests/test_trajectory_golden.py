@@ -140,13 +140,13 @@ TRAJECTORY_GOLDEN = {
                 1.2431357261022786, 10.78030184515139, 0.9812822288307265, 2.0, 17.04696589611479,
             ],
             [
-                2, 0.38666666666666666, 0.37333333333333335, 0.9866666666666667, 5.596896876201419,
-                0.53, 0.5366666666666666, 0.6922795598870668, 0.6911710608827168, 0.0,
-                0.5043248668446189, 2.633246595688596, 0.735728094069143, 10.537129802757569,
-                1.0086497336892377, 2.0, 16.386210414342834,
+                2, 0.38666666666666666, 0.37333333333333335, 0.9866666666666667, 5.598328477446425,
+                0.53, 0.5366666666666666, 0.6925285318845776, 0.6913842282988539, 0.0,
+                0.17877730091112093, 2.632892764825534, 0.7350382658696494, 10.538781300160732,
+                0.3385839175164483, 1.8938865045556046, 15.715372780111663,
             ],
         ],
-        "a66dfa97287988def5ec70931a47fd2af8df7bd958a1c6b78b3d98bcdd1407cb",
+        "f404af6ce87eacf4e15487c3366aecfdb15387e8e2f936e36814da1bf5d7e85e",
     ),
 }
 
