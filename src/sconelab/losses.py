@@ -11,14 +11,14 @@ derivatives. The functions here are stateless: the anchor, the scores of
 the previous timestep's probes, is a pair of plain floats that the
 trainer computes and passes in.
 
-The temporal drift penalty is asymmetric: it fires when the ID probe score
-falls below, or the covariate probe score rises above, its anchor value,
-and only once total drift exceeds the tolerance. Its adaptive weight
-ramps from lambda_base to 2*lambda_base as total drift approaches
-delta_max and holds at 2*lambda_base past it, so the penalty grows as
-2*lambda_base*d_tot there. The weight is part of the differentiated
-expression: adaptive_weight(d_tot) returns the weight and the slope of
-w*d_tot, which includes the product-rule term on the ramp.
+The temporal term has two parts. drift measures how far the ID probe
+score fell below, and the covariate probe score rose above, its anchor
+value; every method measures it. temporal_loss_grad is the penalty on it,
+for the methods that train one: zero while total drift stays within the
+tolerance, then with an adaptive weight that ramps from lambda_base to
+2*lambda_base as total drift approaches delta_max and holds there, so the
+penalty grows as 2*lambda_base*d_tot past it. adaptive_weight(d_tot)
+returns the weight and the slope of w*d_tot, product-rule term included.
 """
 
 from __future__ import annotations
@@ -101,35 +101,29 @@ def adaptive_weight(d_tot: float, hp: Hyperparams) -> tuple[float, float]:
     return 2.0 * hp.lambda_base, 2.0 * hp.lambda_base
 
 
-def temporal_loss_grad(
-    anchor: tuple[float, float], s_in_t: float, s_cov_t: float, hp: Hyperparams
-):
-    """Temporal drift penalty and its score slopes; returns
-    (l_temp, w_temp, d_id, d_cov, d l_temp/d s_in, d l_temp/d s_cov).
-
-    anchor holds the (ID, covariate) scores of the previous timestep's
-    probes under the model that entered this timestep. They are constants
-    (no gradient flows into the past). The penalty is zero whenever total
-    drift stays within the tolerance. With
-    d_tot = d_id + d_cov, dl/dd_tot is 0 within epsilon, lambda_base*(1 + 2*d_tot/delta_max) on
-    the ramp and 2*lambda_base from delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and
-    d l/d s_cov is +dl/dd_tot while d_cov > 0; both are 0 otherwise.
-    """
+def drift(anchor: tuple[float, float], s_in: float, s_cov: float) -> tuple[float, float]:
+    """(d_id, d_cov) >= 0: how far the ID probe score fell below, and the
+    covariate probe score rose above, its anchor value. anchor holds the
+    previous timestep's (ID, covariate) probe scores under the model that
+    entered this timestep, constants through which no gradient flows."""
     prev_in, prev_cov = anchor
-    d_id = max(0.0, prev_in - s_in_t)
-    d_cov = max(0.0, s_cov_t - prev_cov)
+    return max(0.0, prev_in - s_in), max(0.0, s_cov - prev_cov)
+
+
+def temporal_loss_grad(d_id: float, d_cov: float, hp: Hyperparams):
+    """Temporal drift penalty of drift's (d_id, d_cov) and its score
+    slopes; returns (l_temp, w_temp, d l_temp/d s_in, d l_temp/d s_cov).
+
+    With d_tot = d_id + d_cov, dl/dd_tot is 0 within epsilon,
+    lambda_base*(1 + 2*d_tot/delta_max) on the ramp and 2*lambda_base from
+    delta_max on. d l/d s_in is -dl/dd_tot while d_id > 0, and d l/d s_cov
+    is +dl/dd_tot while d_cov > 0; both are 0 otherwise.
+    """
     d_tot = d_id + d_cov
     if d_tot <= hp.epsilon:
-        return 0.0, 0.0, d_id, d_cov, 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     w, dl_dd = adaptive_weight(d_tot, hp)
-    return (
-        w * d_tot,
-        w,
-        d_id,
-        d_cov,
-        -dl_dd if d_id > 0.0 else 0.0,
-        dl_dd if d_cov > 0.0 else 0.0,
-    )
+    return w * d_tot, w, -dl_dd if d_id > 0.0 else 0.0, dl_dd if d_cov > 0.0 else 0.0
 
 
 def total_loss(

@@ -4,14 +4,14 @@ Timestep 0 trains with cross-entropy only and serves as initialization;
 later timesteps add the two energy hinges, each at its fixed weight, and
 the temporal penalty. Both run through train_timestep's one epoch loop.
 The temporal term is evaluated once per epoch on fixed probe
-subsets; its value stays constant across the epoch's minibatches and its
-parameter gradient is folded into every minibatch step scaled by
-1/(#minibatches). Its drift is measured against the anchor: the
-previous timestep's probes, scored once at the start of the timestep by
-the incoming model under the current delta, with the same helper and
-logits formula as the epoch term. Apart from these probe passes, a
-timestep runs whole-split forward passes only to score its record and,
-under refit_delta, to refit delta.
+subsets. Its drift is measured against the anchor: the previous
+timestep's probes, scored once at the start of the timestep by the
+incoming model under the current delta, with the same helper and logits
+formula as the epoch term. Its penalty, for a method that trains one,
+stays constant across the epoch's minibatches and its parameter gradient
+is folded into every minibatch step scaled by 1/(#minibatches). Apart
+from these probe passes, a timestep runs whole-split forward passes only
+to score its record and, under refit_delta, to refit delta.
 
 One RunState carries a run from one timestep to the next: the model and
 its momentum, the previous timestep's probe batches and the ATC
@@ -24,9 +24,9 @@ config from it: `sconelab compare` trains each seed's timestep 0 once and
 shares it across the grid's methods. run_stream without an init trains
 its own through the same initialize.
 
-The plain energy-margin baseline ("scone") runs the identical code path
-with the temporal weight forced to zero, which keeps its trajectory
-bitwise comparable to the temporally regularized variants.
+METHOD_TABLE defines each method: the probe score its drift is measured
+in, and whether its drift penalty trains. "scone", the plain
+energy-margin baseline, measures ATC drift and trains no penalty.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .knobs import check_knobs, knob
 from .losses import (
     Hyperparams,
     LossBreakdown,
+    drift,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
@@ -74,10 +75,20 @@ from .stream import (
     substream,
 )
 
-METHOD_SCONE = "scone"
+
+def _atc(logits, cfg: RunConfig, delta):
+    return diff_atc_grad_logits(logits, cfg.score_kind, delta, cfg.hyper.omega)
+
+
+# One row per method: (score, penalized). score(logits, cfg, delta) gives the
+# probe score drift is measured in, (score, dscore/dlogits).
+METHOD_TABLE = {
+    "scone": (_atc, False),
+    "temp_scone_atc": (_atc, True),
+    "temp_scone_ac": (lambda logits, cfg, delta: diff_ac_grad_logits(logits), True),
+}
+METHODS = tuple(METHOD_TABLE)
 METHOD_TEMP_ATC = "temp_scone_atc"
-METHOD_TEMP_AC = "temp_scone_ac"
-METHODS = (METHOD_SCONE, METHOD_TEMP_ATC, METHOD_TEMP_AC)
 
 
 @dataclass
@@ -99,12 +110,6 @@ class RunConfig:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         check_knobs(self)
-
-    def effective_hyper(self) -> Hyperparams:
-        """The baseline method ignores the temporal weight."""
-        if self.method == METHOD_SCONE:
-            return replace(self.hyper, lambda_base=0.0)
-        return self.hyper
 
 
 @dataclass
@@ -142,25 +147,26 @@ class Initialization:
 
 
 def _probe_score(params, probe, cfg: RunConfig, delta):
-    """cfg's score of one probe batch, AC for temp_scone_ac and ATC
-    otherwise: (score, dscore/dlogits, activations).
+    """The score METHOD_TABLE names for cfg.method, of one probe batch:
+    (score, dscore/dlogits, activations).
 
     Both the epoch temporal term and the anchor it is measured against come
     from here, under the same delta, so an unchanged model measures zero
     drift on its own probes.
     """
     logits, acts = forward_cached(params, probe)
-    if cfg.method == METHOD_TEMP_AC:
-        return (*diff_ac_grad_logits(logits), acts)
-    return (*diff_atc_grad_logits(logits, cfg.score_kind, delta, cfg.hyper.omega), acts)
+    return (*METHOD_TABLE[cfg.method][0](logits, cfg, delta), acts)
 
 
-def _epoch_temporal_term(params, splits, anchor, hp, cfg: RunConfig, delta):
-    """Epoch-constant temporal loss, weight, drifts from anchor and gradient
-    (None if no term fires)."""
+def _epoch_temporal_term(params, splits, anchor, cfg: RunConfig, delta):
+    """(l_temp, w_temp, d_id, d_cov, gradient or None) of one epoch: the
+    drift from anchor always, the penalty only for a penalized method."""
     s_in, dz_in, acts_in = _probe_score(params, splits.probe_in, cfg, delta)
     s_cov, dz_cov, acts_cov = _probe_score(params, splits.probe_cov, cfg, delta)
-    l_temp, w_temp, d_id, d_cov, dl_dsin, dl_dscov = temporal_loss_grad(anchor, s_in, s_cov, hp)
+    d_id, d_cov = drift(anchor, s_in, s_cov)
+    if not METHOD_TABLE[cfg.method][1]:
+        return 0.0, 0.0, d_id, d_cov, None
+    l_temp, w_temp, dl_dsin, dl_dscov = temporal_loss_grad(d_id, d_cov, cfg.hyper)
     parts = [
         backward_from_logits(params, acts, dl * dz)
         for dl, acts, dz in ((dl_dsin, acts_in, dz_in), (dl_dscov, acts_cov, dz_cov))
@@ -236,7 +242,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     set, so the record uses the delta the timestep trained under. Every
     timestep ends by leaving its own probes in state for the next one.
     """
-    hp = cfg.effective_hyper()
+    hp = cfg.hyper
     params = state.params
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
@@ -258,7 +264,7 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
         temporal_active = False
         if wild:
             l_temp, w_temp, d_id, d_cov, g_temp = _epoch_temporal_term(
-                params, splits, anchor, hp, cfg, state.delta
+                params, splits, anchor, cfg, state.delta
             )
             temporal_active = l_temp != 0.0
             if temporal_active:

@@ -14,6 +14,7 @@ from gradcheck import fd_grad, fd_param_grad, relative_error
 
 from sconelab.losses import (
     Hyperparams,
+    drift,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
@@ -131,7 +132,7 @@ def analytic_temporal(params, x_in, x_cov, anchor, mode, kind, delta, hp=HP):
     else:
         s_in, dz_in = diff_ac_grad_logits(logits_in)
         s_cov, dz_cov = diff_ac_grad_logits(logits_cov)
-    value, _, _, _, dl_in, dl_cov = temporal_loss_grad(anchor, s_in, s_cov, hp)
+    value, _, dl_in, dl_cov = temporal_loss_grad(*drift(anchor, s_in, s_cov), hp)
     grads = params.zeros_like()
     if dl_in:
         grads.vec += backward_from_logits(params, acts_in, dl_in * dz_in).vec
@@ -144,8 +145,7 @@ def numeric_temporal_fn(x_in, x_cov, anchor, mode, kind, delta, hp=HP):
     def fn(p):
         s_in = probe_score(p, x_in, mode, kind, delta)
         s_cov = probe_score(p, x_cov, mode, kind, delta)
-        value, _, _, _, _, _ = temporal_loss_grad(anchor, s_in, s_cov, hp)
-        return value
+        return temporal_loss_grad(*drift(anchor, s_in, s_cov), hp)[0]
 
     return fn
 
@@ -287,9 +287,7 @@ def test_minibatch_composite_gradient():
         # one step per epoch, so the step takes the whole epoch temporal gradient
         cfg = RunConfig(hyper=hp, method=METHOD_TEMP_ATC, score_kind=kind)
         terms, grads = _minibatch_loss_grads(params, x, y, wild, hp)
-        l_temp, _, _, _, g_temp = _epoch_temporal_term(
-            params, FakeSplits, anchor, hp, cfg, delta
-        )
+        l_temp, _, _, _, g_temp = _epoch_temporal_term(params, FakeSplits, anchor, cfg, delta)
         assert l_temp > 0.0
         grads.vec += g_temp.vec
         reported = total_loss(hp, *terms, l_temp=l_temp).total
@@ -310,7 +308,7 @@ def test_epoch_temporal_term_matches_finite_differences():
 
     cfg = RunConfig(hyper=HP, method=METHOD_TEMP_ATC, score_kind=ScoreKind.MAX_CONFIDENCE)
     l_temp, w_temp, d_id, d_cov, grad = _epoch_temporal_term(
-        params, FakeSplits, anchor, HP, cfg, delta
+        params, FakeSplits, anchor, cfg, delta
     )
     assert l_temp > 0 and d_id > 0 and d_cov > 0
     numeric = fd_param_grad(

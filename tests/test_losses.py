@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sconelab.losses import (
     Hyperparams,
     adaptive_weight,
+    drift,
     loss_in_grad,
     loss_out_grad,
     temporal_loss_grad,
@@ -117,13 +118,15 @@ def test_adaptive_weight_monotone_and_bounded(d_id, d_cov, bump):
 
 
 def test_temporal_loss_favorable_drift_is_free():
-    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.95, 0.45, hp())[:4]
-    assert (l, w, d_id, d_cov) == (0.0, 0.0, 0.0, 0.0)
+    d_id, d_cov = drift((0.9, 0.5), 0.95, 0.45)
+    assert (d_id, d_cov) == (0.0, 0.0)
+    assert temporal_loss_grad(d_id, d_cov, hp()) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_temporal_loss_hinge_arithmetic():
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
-    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.8, 0.6, h)[:4]
+    d_id, d_cov = drift((0.9, 0.5), 0.8, 0.6)
+    l, w = temporal_loss_grad(d_id, d_cov, h)[:2]
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
     assert w == pytest.approx(adaptive_weight(0.1 + 0.1, h)[0])
     assert l == pytest.approx(w * 0.2)
@@ -133,7 +136,8 @@ def test_temporal_loss_past_cap_arithmetic():
     # d_id = 0.3 and d_cov = 0.1 put d_tot = 0.4 past delta_max = 0.2: the
     # weight holds at 2*lambda_base and the penalty keeps growing with d_tot.
     h = hp(epsilon=0.05, lambda_base=1.0, delta_max=0.2)
-    l, w, d_id, d_cov, dl_in, dl_cov = temporal_loss_grad((0.9, 0.5), 0.6, 0.6, h)
+    d_id, d_cov = drift((0.9, 0.5), 0.6, 0.6)
+    l, w, dl_in, dl_cov = temporal_loss_grad(d_id, d_cov, h)
     assert d_id == pytest.approx(0.3) and d_cov == pytest.approx(0.1)
     assert w == pytest.approx(2.0)
     assert l == pytest.approx(0.8)
@@ -142,7 +146,8 @@ def test_temporal_loss_past_cap_arithmetic():
 
 def test_temporal_loss_gated_below_tolerance():
     h = hp(epsilon=0.25)
-    l, w, d_id, d_cov = temporal_loss_grad((0.9, 0.5), 0.8, 0.6, h)[:4]
+    d_id, d_cov = drift((0.9, 0.5), 0.8, 0.6)
+    l, w = temporal_loss_grad(d_id, d_cov, h)[:2]
     assert l == 0.0 and w == 0.0
     assert d_id == pytest.approx(0.1) and d_cov == pytest.approx(0.1)
 

@@ -125,14 +125,14 @@ def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
     run_stream(cfg, param_trace=trace)
     splits, _ = _fresh_setup(cfg, t=2)
     seen = []
-    temporal_loss_grad = trainer_mod.temporal_loss_grad
+    measure = trainer_mod.drift
 
-    def spy(anchor, s_in, s_cov, hp):
-        out = temporal_loss_grad(anchor, s_in, s_cov, hp)
-        seen.append((anchor, (s_in, s_cov), out[2:4]))
+    def spy(anchor, s_in, s_cov):
+        out = measure(anchor, s_in, s_cov)
+        seen.append((anchor, (s_in, s_cov), out))
         return out
 
-    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    monkeypatch.setattr(trainer_mod, "drift", spy)
     replay = replace(cfg, epochs_per_timestep=1)
     for trained in trace:
         delta = trainer_mod._fit_delta(trained, splits, kind)
@@ -146,7 +146,7 @@ def test_stored_probe_scores_equal_epoch_term_scores(monkeypatch, method, kind):
 @pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac"])
 def test_epoch_temporal_term_inactive_within_tolerance(method):
     cfg = small_cfg(method=method)
-    hp = cfg.effective_hyper()
+    hp = cfg.hyper
     splits, params = _fresh_setup(cfg)
     kind = cfg.score_kind
     delta = trainer_mod._fit_delta(params, splits, kind)
@@ -155,7 +155,7 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
     def term(drift):
         # the ID score fell by drift; the covariate score fell, which is no drift
         prev_scores = (s_in + drift, 2.0)
-        return trainer_mod._epoch_temporal_term(params, splits, prev_scores, hp, cfg, delta)
+        return trainer_mod._epoch_temporal_term(params, splits, prev_scores, cfg, delta)
 
     l_temp, w_temp, d_id, d_cov, g_temp = term(0.5 * hp.epsilon)
     assert d_id > 0.0 and d_cov == 0.0 and d_id <= hp.epsilon
@@ -183,13 +183,13 @@ def test_run_state_hand_off(monkeypatch):
         trainer_mod._probe_score(state.params, probe, cfg, delta_0)[0] for probe in state.probes
     )
     seen = []
-    temporal_loss_grad = trainer_mod.temporal_loss_grad
+    drift = trainer_mod.drift
 
     def spy(*args):
         seen.append(args[0])
-        return temporal_loss_grad(*args)
+        return drift(*args)
 
-    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    monkeypatch.setattr(trainer_mod, "drift", spy)
     splits_1, _ = _fresh_setup(cfg, t=1)
     record = train_timestep(state, splits_1, cfg)
     assert seen == [anchor]
@@ -293,7 +293,7 @@ def test_run_scores_each_probe_batch_it_reads(monkeypatch, method):
 
 
 @pytest.mark.parametrize("refit_delta", [False, True])
-@pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac"])
+@pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac", "scone"])
 def test_unchanged_model_measures_zero_drift_on_its_own_anchor(monkeypatch, method, refit_delta):
     """Timestep 2 replays timestep 1's splits, so its first epoch scores the
     very probes its anchor came from, with the model that finished them:
@@ -302,17 +302,54 @@ def test_unchanged_model_measures_zero_drift_on_its_own_anchor(monkeypatch, meth
     splits = trainer_mod._splits
     monkeypatch.setattr(trainer_mod, "_splits", lambda c, t: splits(c, min(t, 1)))
     seen = []
-    temporal_loss_grad = trainer_mod.temporal_loss_grad
+    drift = trainer_mod.drift
 
     def spy(*args):
-        out = temporal_loss_grad(*args)
-        seen.append(out[2:4])
+        out = drift(*args)
+        seen.append(out)
         return out
 
-    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    monkeypatch.setattr(trainer_mod, "drift", spy)
     run_stream(cfg)
     assert len(seen) == 2 * cfg.epochs_per_timestep
     assert seen[cfg.epochs_per_timestep] == (0.0, 0.0)  # timestep 2, first epoch
+
+
+def test_only_penalized_methods_compute_the_penalty(monkeypatch):
+    """temporal_loss_grad runs once per epoch of every trained timestep for
+    the two temporal methods and never for scone, whose record still holds
+    the drift its last epoch measured."""
+    cfg = small_cfg()
+    calls = []
+    temporal_loss_grad = trainer_mod.temporal_loss_grad
+
+    def spy(*args):
+        calls.append(args)
+        return temporal_loss_grad(*args)
+
+    monkeypatch.setattr(trainer_mod, "temporal_loss_grad", spy)
+    counts = {}
+    for method in trainer_mod.METHODS:
+        calls.clear()
+        run_stream(small_cfg(method=method))
+        counts[method] = len(calls)
+    per_run = (cfg.stream.num_timesteps - 1) * cfg.epochs_per_timestep
+    assert counts == {"scone": 0, "temp_scone_atc": per_run, "temp_scone_ac": per_run}
+
+    drifts = []
+    drift = trainer_mod.drift
+
+    def drift_spy(*args):
+        drifts.append(drift(*args))
+        return drifts[-1]
+
+    monkeypatch.setattr(trainer_mod, "drift", drift_spy)
+    records = run_stream(small_cfg(method="scone"))
+    assert len(drifts) == per_run
+    measured = [(r.drift_d_id, r.drift_d_cov) for r in records[1:]]
+    epochs = cfg.epochs_per_timestep
+    assert measured == drifts[epochs - 1 :: epochs]
+    assert any(d != (0.0, 0.0) for d in measured)
 
 
 @pytest.mark.parametrize("change", [dict(seed=1), dict(hidden_sizes=(16, 8))])
