@@ -1,12 +1,11 @@
 """Confidence scoring from logits: max-softmax and negative-entropy scores
 and their logits gradients, threshold fitting, and hard and sigmoid-smoothed
-threshold-count estimates. The probe scores the drift penalty compares
-against are kept by the trainer's RunState, not here.
+threshold-count estimates. The anchor that drift is measured against is
+scored by the trainer from RunState's probes, not kept here.
 
-Every score goes through unit_scores_grad_logits, so the probe scores
-stored for the next timestep, the scores the drift penalty compares with
-them, the fitted ATC threshold and the record use one formula and agree bit
-for bit at equal logits.
+Every score goes through unit_scores_grad_logits, so the anchor, the
+probe scores whose drift from it is measured, the fitted ATC threshold and
+the record use one formula and agree bit for bit at equal logits.
 
 Negative-entropy scores are affinely rescaled to [0, 1] before any
 smoothing or drift comparison so the smoothing width, drift tolerance and

@@ -2,7 +2,7 @@
 
 Timestep 0 trains with cross-entropy only and serves as initialization;
 later timesteps add the two energy hinges, each at its fixed weight, and
-the temporal penalty. Both run through train_timestep's one epoch loop.
+the temporal term. Both run through train_timestep's one epoch loop.
 The temporal term is evaluated once per epoch on fixed probe
 subsets. Its drift is measured against the anchor: the previous
 timestep's probes, scored once at the start of the timestep by the
