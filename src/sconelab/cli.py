@@ -5,11 +5,12 @@ Subcommands:
   compare        execute every configured method over every seed
   verify-theory  run the divergence/inequality sweep and emit its table
 
-`run` and `compare` take --config PATH, --out DIR and --seeds LIST; `run`
-also takes --method NAME. `verify-theory` takes --out DIR. All outputs are
-deterministic functions of the config: metrics.csv (one row per
-method/seed/timestep), summary.csv (per-timestep seed means), a config
-echo, and one JSON-lines record stream per run. `run` and `compare` both
+`run` and `compare` take --config PATH, --out DIR (default results) and
+--seeds LIST; `run` also takes --method NAME. `verify-theory` takes --out
+DIR. --out alone places the outputs, and each is a deterministic function
+of the experiment: metrics.csv (one row per method/seed/timestep),
+summary.csv (per-timestep seed means), a config echo that holds no path,
+and one JSON-lines record stream per run. `run` and `compare` both
 go through one grid loop, _run_grid, which trains each seed's timestep 0
 once and starts every method of that seed from it. Every CSV cell is
 printed by the config's INI value formatter, so a float cell is its repr
@@ -66,12 +67,12 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_grid(spec: ExperimentSpec):
-    """Run the spec's (method, seed) grid and write its outputs, method-major,
-    once every run has finished. Runs go seed by seed: timestep 0 reads no
-    method field, so each seed's is trained once and every method starts
-    from it. summary.csv is the mean over seeds of the metrics.csv rows of
-    each (method, t)."""
+def _run_grid(spec: ExperimentSpec, out: str):
+    """Run the spec's (method, seed) grid and write its outputs into directory out,
+    method-major, once every run has finished. Runs go seed by seed:
+    timestep 0 reads no method field, so each seed's is trained once and
+    every method starts from it. summary.csv is the mean over seeds of the
+    metrics.csv rows of each (method, t)."""
     by_seed = {}
     for s in spec.seeds:
         init = initialize(spec.run_config(spec.methods[0], s))
@@ -93,7 +94,7 @@ def _run_grid(spec: ExperimentSpec):
             files[f"run-{m}-seed{s}.jsonl"] = "\n".join(r.to_json() for r in records) + "\n"
     files["config_echo.ini"] = serialize_spec(spec)
     for name, text in files.items():
-        _write_atomic(os.path.join(spec.out_dir, name), text)
+        _write_atomic(os.path.join(out, name), text)
 
 
 def _out_flag(args) -> str | None:
@@ -104,42 +105,44 @@ def _out_flag(args) -> str | None:
 
 def _load_spec(args) -> ExperimentSpec:
     spec = ExperimentSpec() if args.config is None else parse_config(args.config)
-    updates = {} if _out_flag(args) is None else {"out_dir": args.out}
-    if args.seeds is not None:
-        try:
-            updates["seeds"] = _parse_value(args.seeds, tuple[int, ...])
-        except ValueError as exc:
-            raise ConfigError(f"--seeds: {exc}") from None
-    return replace(spec, **updates)
+    if args.seeds is None:
+        return spec
+    try:
+        seeds = _parse_value(args.seeds, tuple[int, ...])
+    except ValueError as exc:
+        raise ConfigError(f"--seeds: {exc}") from None
+    return replace(spec, seeds=seeds)
 
 
 def cmd_run(args) -> int:
+    out = _out_flag(args)
     spec = _load_spec(args)
     method = spec.methods[0] if args.method is None else args.method
     # ExperimentSpec rejects an unknown method before any run starts, and the
     # echo then names the one method run, so a rerun from it runs that method
-    _run_grid(replace(spec, methods=(method,)))
-    print(f"run complete: method={method} seeds={list(spec.seeds)} -> {spec.out_dir}")
+    _run_grid(replace(spec, methods=(method,)), out)
+    print(f"run complete: method={method} seeds={list(spec.seeds)} -> {out}")
     return 0
 
 
 def cmd_compare(args) -> int:
+    out = _out_flag(args)
     spec = _load_spec(args)
-    _run_grid(spec)
+    _run_grid(spec, out)
     print(
         f"compare complete: methods={list(spec.methods)} seeds={list(spec.seeds)} "
-        f"-> {spec.out_dir}"
+        f"-> {out}"
     )
     return 0
 
 
 def cmd_verify_theory(args) -> int:
-    out_dir = _out_flag(args)
+    out = _out_flag(args)
     checks = run_verification_sweep()
     rows = [check.to_row() for check in checks]
     text = _csv_text(SWEEP_COLUMNS, rows)
-    if out_dir is not None:
-        _write_atomic(os.path.join(out_dir, "theory_checks.csv"), text)
+    if out is not None:
+        _write_atomic(os.path.join(out, "theory_checks.csv"), text)
     for check in checks:
         status = "ok" if check.passed else "FAIL"
         print(
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to an INI experiment config")
-    common.add_argument("--out", help="output directory (overrides the config)")
+    common.add_argument("--out", default="results", help="output directory (default: results)")
     common.add_argument("--seeds", help="comma-separated seed list (overrides the config)")
 
     p_run = sub.add_parser("run", parents=[common], help="run a single method")

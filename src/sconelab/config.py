@@ -48,7 +48,6 @@ class ExperimentSpec:
     methods: tuple[str, ...] = (METHOD_TEMP_ATC,)
     seeds: tuple[int, ...] = knob((0,), "[0, inf)")
     emit: str = "both"
-    out_dir: str = "results"
     base_run: RunConfig = field(default_factory=RunConfig)
 
     def __post_init__(self):

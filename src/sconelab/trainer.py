@@ -97,7 +97,7 @@ class RunConfig:
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hyper: Hyperparams = field(default_factory=Hyperparams)
     method: str = METHOD_TEMP_ATC
-    epochs_per_timestep: int = knob(10, "[0, inf)")
+    epochs_per_timestep: int = knob(10, "[1, inf)")
     probe_size: int = knob(512, "[1, inf)")
     seed: int = knob(0, "[0, inf)")
     hidden_sizes: tuple[int, ...] = knob((64, 64), "[1, inf)")
@@ -210,10 +210,10 @@ def _minibatch_loss_grads(params, xb, yb, wild_b, hp: Hyperparams):
 
 
 def _mean_breakdown(parts: list[LossBreakdown], hp: Hyperparams) -> LossBreakdown:
-    """Each term's mean over the minibatches, every term 0.0 when there are
-    none; the total is total_loss of the means, not the mean of the totals."""
+    """Each term's mean over the minibatches; the total is total_loss of the
+    means, not the mean of the totals."""
     means = [float(np.mean(column)) for column in zip(*(astuple(p)[:-1] for p in parts))]
-    return total_loss(hp, *(means or [0.0]))
+    return total_loss(hp, *means)
 
 
 def _fit_delta(params, splits, kind: ScoreKind) -> float:
@@ -247,14 +247,13 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     x, y = splits.train_x, splits.train_y
     n = x.shape[0]
     batch = min(cfg.optimizer.batch_size, n)
-    steps_per_epoch = max(1, n // batch)
-    total_steps = max(1, cfg.epochs_per_timestep * steps_per_epoch)
+    steps_per_epoch = n // batch
+    total_steps = cfg.epochs_per_timestep * steps_per_epoch
 
     wild = splits.t > 0
     n_wild = splits.wild.features.shape[0]
     rng = substream(cfg.seed, PURPOSE_EPOCH, splits.t)
     kind = cfg.score_kind
-    last_epoch_parts: list[LossBreakdown] = []
     d_id = d_cov = 0.0
     if wild:
         anchor = tuple(_probe_score(params, probe, cfg, state.delta)[0] for probe in state.probes)
@@ -288,12 +287,11 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             epoch_parts.append(total_loss(hp, *terms, l_temp=l_temp, w_temp=w_temp))
             step_index = epoch * steps_per_epoch + b
             sgd_step(params, grads, state.momentum, step_index, total_steps, cfg.optimizer)
-        last_epoch_parts = epoch_parts
 
     if not wild:
         state.delta = _fit_delta(params, splits, kind)
     record = evaluate_timestep(
-        params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(last_epoch_parts, hp)
+        params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(epoch_parts, hp)
     )
     if wild and cfg.refit_delta:
         state.delta = _fit_delta(params, splits, kind)

@@ -91,6 +91,9 @@ def test_config_unknown_key_and_section_rejected():
     for key in ("bogus", "alpha", "tau", "lambda_temp", "ce_tol", "delta", "fpr_cutoff", "lr_lambda"):
         with pytest.raises(ConfigError, match=rf"unknown key \[hyper\] {key}"):
             parse_config_text(MINIMAL + f"\n[hyper]\n{key} = 1\n")
+    # --out places the outputs; the experiment names no path
+    with pytest.raises(ConfigError, match=r"unknown key \[experiment\] out_dir"):
+        parse_config_text(MINIMAL + "out_dir = elsewhere\n")
     with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
         parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n")
 
@@ -112,7 +115,6 @@ NON_DEFAULT = {
     ("experiment", "methods"): ("scone, temp_scone_ac", ("scone", "temp_scone_ac")),
     ("experiment", "seeds"): ("3, 4", (3, 4)),
     ("experiment", "emit"): ("csv", "csv"),
-    ("experiment", "out_dir"): ("elsewhere", "elsewhere"),
     ("stream", "num_timesteps"): ("4", 4),
     ("stream", "num_classes"): ("3", 3),
     ("stream", "input_dim"): ("3", 3),
@@ -333,7 +335,7 @@ def test_config_echo_leaves_out_unset_schedules():
 def test_default_ini_text_pinned():
     # every key's name, order and default value as the config echo writes them
     digest = hashlib.sha256(serialize_spec(ExperimentSpec()).encode()).hexdigest()
-    assert digest == "890278a09311007fb1ba7c75dc5de9b11d9d4367508ddcbfe8c512a9d4fcf482"
+    assert digest == "b62e915f6e3ae204d33fb01f0f5c1afe99197f1036428c05bcd66b2af88d3463"
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -385,12 +387,20 @@ def test_cli_outputs_byte_identical_across_invocations(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["compare", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["compare", "--config", cfg, "--out", str(out_b)]) == 0
-    for name in ("metrics.csv", "summary.csv", "run-scone-seed1.jsonl"):
+    for name in ("metrics.csv", "summary.csv", "run-scone-seed1.jsonl", "config_echo.ini"):
         assert read_bytes(out_a / name) == read_bytes(out_b / name), name
-    # the echo records the resolved output directory; everything else matches
-    echo_a = (out_a / "config_echo.ini").read_text().replace(str(out_a), "OUT")
-    echo_b = (out_b / "config_echo.ini").read_text().replace(str(out_b), "OUT")
-    assert echo_a == echo_b
+
+
+def test_cli_config_echo_holds_no_output_path(tmp_path, monkeypatch):
+    # the echo is a function of the experiment alone: neither --out nor its
+    # default, results, is part of it
+    cfg = write_config(tmp_path, SMALL_RUN)
+    out = tmp_path / "elsewhere" / "out"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--config", cfg]) == 0
+    default = tmp_path / "results" / "config_echo.ini"
+    assert read_bytes(out / "config_echo.ini") == read_bytes(default)
 
 
 def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
@@ -399,17 +409,18 @@ def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
     assert main(["compare", "--config", cfg, "--out", str(out_a)]) == 0
     echo = str(out_a / "config_echo.ini")
     assert main(["compare", "--config", echo, "--out", str(out_b)]) == 0
-    names = ["metrics.csv", "summary.csv"] + [
+    names = ["metrics.csv", "summary.csv", "config_echo.ini"] + [
         f"run-{m}-seed{s}.jsonl" for m in ("scone", "temp_scone_atc") for s in (0, 1)
     ]
     for name in names:
         assert read_bytes(out_a / name) == read_bytes(out_b / name), name
 
 
-# sha256 of every file `compare` writes for SMALL_RUN (2 methods x 2 seeds)
-# except the config echo, which records the output directory. A changed
-# record value, column, cell format or file name shows up here.
+# sha256 of every file `compare` writes for SMALL_RUN (2 methods x 2 seeds).
+# A changed record value, column, cell format, config key or file name shows
+# up here.
 SMALL_RUN_DIGESTS = {
+    "config_echo.ini": "7083de5aae40e0c03b3a3afabc1d23b81093eb132e87adc66d2d9465db2413ae",
     "metrics.csv": "5a2d1308fb435f9160ff153593eea07b4faa456b94d9d3e7e6c9f1efd1b74780",
     "summary.csv": "4f3139a0817eaa9150056d3f209196cbedaa0755b0b899fb846ce83f332abcac",
     "run-scone-seed0.jsonl": "0e62a154747110f5347f8233231328e21433dfdfb8e482a33e5e4ddab6301688",
@@ -429,9 +440,7 @@ def small_compare(tmp_path_factory):
 
 
 def test_cli_compare_outputs_pinned(small_compare):
-    assert sorted(p.name for p in small_compare.iterdir()) == sorted(
-        [*SMALL_RUN_DIGESTS, "config_echo.ini"]
-    )
+    assert sorted(p.name for p in small_compare.iterdir()) == sorted(SMALL_RUN_DIGESTS)
     digests = {
         name: hashlib.sha256(read_bytes(small_compare / name)).hexdigest()
         for name in SMALL_RUN_DIGESTS
@@ -602,7 +611,7 @@ def test_cli_empty_flag_rejected_before_any_run(tmp_path, capsys, monkeypatch, a
     for name in ("initialize", "run_stream", "run_verification_sweep"):
         monkeypatch.setattr(f"sconelab.cli.{name}", no_run)
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, SMALL_RUN)  # out_dir is the default, results
+    cfg = write_config(tmp_path, SMALL_RUN)  # without --out, outputs go to results
     config = [] if argv[0] == "verify-theory" or "--config" in argv else ["--config", cfg]
     assert main([*argv, *config]) == 1
     assert message in capsys.readouterr().err

@@ -72,12 +72,9 @@ def test_cli_import_loads_only_stdlib_numpy_and_sconelab():
 
 
 def test_every_imported_name_is_used():
-    # a leftover import of a deleted code path is dead weight that reads as
-    # live; __init__ imports to re-export, so it is not checked
+    # a leftover import of a deleted code path is dead weight that reads as live
     unused = []
     for path in sorted((SRC / "sconelab").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):

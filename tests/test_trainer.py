@@ -1,5 +1,5 @@
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,17 +61,6 @@ def _fresh_setup(cfg, t=1):
         cfg.stream.input_dim, cfg.stream.num_classes, cfg.hidden_sizes, substream(cfg.seed, 1)
     )
     return splits, params
-
-
-def test_train_timestep_zero_epochs_is_identity():
-    cfg = small_cfg(epochs_per_timestep=0)
-    splits, params = _fresh_setup(cfg)
-    state = RunState(params.copy(), params.zeros_like(), _probes(splits), delta=0.5)
-    record = train_timestep(state, splits, cfg)
-    assert params_equal(state.params, params)
-    assert record.t == splits.t
-    assert record.loss.total == 0.0
-    assert astuple(record.loss) == (0.0,) * len(fields(LossBreakdown))
 
 
 def test_mean_breakdown_is_fieldwise_mean_and_total_of_the_means():
