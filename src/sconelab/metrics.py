@@ -6,7 +6,8 @@ parameter of its own, so the reported detection metrics stay comparable
 across methods and epochs. The record's fpr95 and threshold
 are fpr_at_tpr's, refit on each timestep's ID test split. The record's ATC
 and AC values are scored from the test logits by the same formula as the
-trainer's probe scores.
+trainer's probe scores, ATC under the threshold delta that the trainer
+fits on the timestep's own validation split with the same model.
 
 The record dataclasses are the only schema: CSV_COLUMNS is the
 MetricsRecord fields other than `loss`, then loss_<name> for each

@@ -3,15 +3,15 @@
 Timestep 0 trains with cross-entropy only and serves as initialization;
 later timesteps add the two energy hinges, each at its fixed weight, and
 the temporal term. Both run through train_timestep's one epoch loop.
-The temporal term is evaluated once per epoch on fixed probe
-subsets. Its drift is measured against the anchor: the previous
-timestep's probes, scored once at the start of the timestep by the
-incoming model under the current delta, with the same helper and logits
+The temporal term is evaluated once per epoch on fixed probe subsets. Its
+drift is measured against the anchor: the previous timestep's probes,
+scored once at the start of the timestep by the incoming model under the
+delta the previous timestep fitted, with the same helper and logits
 formula as the epoch term. Its penalty, for a method that trains one,
 stays constant across the epoch's minibatches and its parameter gradient
 is folded into every minibatch step scaled by 1/(#minibatches). Apart
 from these probe passes, a timestep runs whole-split forward passes only
-to score its record and, under refit_delta, to refit delta.
+to fit delta on its validation split and to score its record.
 
 One RunState carries a run from one timestep to the next: the model and
 its momentum, the previous timestep's probe batches and the ATC
@@ -102,7 +102,6 @@ class RunConfig:
     seed: int = knob(0, "[0, inf)")
     hidden_sizes: tuple[int, ...] = knob((64, 64), "[1, inf)")
     score_kind: ScoreKind = ScoreKind.MAX_CONFIDENCE
-    refit_delta: bool = False
     val_size: int = knob(512, "[20, inf)")
     test_size: int = knob(1024, "[20, inf)")
 
@@ -117,7 +116,8 @@ class RunState:
     """What one timestep hands to the next, updated in place by train_timestep.
 
     probes holds the (ID, covariate) probe batches of the last finished
-    timestep and delta the ATC threshold; both are None before timestep 0.
+    timestep and delta the ATC threshold fitted on its validation split by
+    the model it finished with; both are None before timestep 0.
     The next timestep scores the probes itself, with its incoming params
     and delta, so nothing here depends on the method. The hinges' weights
     are fixed knobs of Hyperparams, so no loss weight is carried from one
@@ -234,13 +234,13 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
     """One timestep of training; updates state in place and returns the record.
 
     Timestep 0 is initialization: cross-entropy only, with no wild batches
-    or temporal term; delta is fit on its validation split. Later timesteps
-    first score state.probes, the previous timestep's probes, with the
-    incoming params under state.delta: that anchor is what every epoch's
-    temporal term measures drift against. They then train the full
-    objective, and refit delta after the record when cfg.refit_delta is
-    set, so the record uses the delta the timestep trained under. Every
-    timestep ends by leaving its own probes in state for the next one.
+    or temporal term. Later timesteps first score state.probes, the
+    previous timestep's probes, with the incoming params under state.delta:
+    that anchor is what every epoch's temporal term measures drift against.
+    They then train the full objective. Every timestep then fits delta on
+    its own validation split with the params it finished with, scores its
+    record under that delta, and leaves delta and its own probes in state
+    for the next one.
     """
     hp = cfg.hyper
     params = state.params
@@ -288,13 +288,10 @@ def train_timestep(state: RunState, splits: TimestepSplits, cfg: RunConfig) -> M
             step_index = epoch * steps_per_epoch + b
             sgd_step(params, grads, state.momentum, step_index, total_steps, cfg.optimizer)
 
-    if not wild:
-        state.delta = _fit_delta(params, splits, kind)
+    state.delta = _fit_delta(params, splits, kind)
     record = evaluate_timestep(
         params, splits, kind, state.delta, (d_id, d_cov), _mean_breakdown(epoch_parts, hp)
     )
-    if wild and cfg.refit_delta:
-        state.delta = _fit_delta(params, splits, kind)
     state.probes = (splits.probe_in, splits.probe_cov)
     return record
 

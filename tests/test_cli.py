@@ -94,6 +94,9 @@ def test_config_unknown_key_and_section_rejected():
     # --out places the outputs; the experiment names no path
     with pytest.raises(ConfigError, match=r"unknown key \[experiment\] out_dir"):
         parse_config_text(MINIMAL + "out_dir = elsewhere\n")
+    # every timestep fits delta on its own validation split; no key chooses a policy
+    with pytest.raises(ConfigError, match=r"unknown key \[run\] refit_delta"):
+        parse_config_text(MINIMAL + "\n[run]\nrefit_delta = true\n")
     with pytest.raises(ConfigError, match=r"unknown section \[mystery\]"):
         parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n")
 
@@ -142,7 +145,6 @@ NON_DEFAULT = {
     ("run", "epochs_per_timestep"): ("2", 2),
     ("run", "probe_size"): ("64", 64),
     ("run", "score_kind"): ("neg_entropy", ScoreKind.NEG_ENTROPY),
-    ("run", "refit_delta"): ("true", True),
     ("run", "val_size"): ("100", 100),
     ("run", "test_size"): ("200", 200),
     ("run", "hidden_sizes"): ("8, 8", (8, 8)),
@@ -335,7 +337,7 @@ def test_config_echo_leaves_out_unset_schedules():
 def test_default_ini_text_pinned():
     # every key's name, order and default value as the config echo writes them
     digest = hashlib.sha256(serialize_spec(ExperimentSpec()).encode()).hexdigest()
-    assert digest == "b62e915f6e3ae204d33fb01f0f5c1afe99197f1036428c05bcd66b2af88d3463"
+    assert digest == "571290a8f9de9f707b64b705b1a324e16b3a85f2e70bf60e0065ebe3955c9adb"
 
 
 def test_cli_run_writes_outputs(tmp_path):
@@ -420,13 +422,13 @@ def test_cli_compare_from_config_echo_is_byte_identical(tmp_path):
 # A changed record value, column, cell format, config key or file name shows
 # up here.
 SMALL_RUN_DIGESTS = {
-    "config_echo.ini": "7083de5aae40e0c03b3a3afabc1d23b81093eb132e87adc66d2d9465db2413ae",
-    "metrics.csv": "5a2d1308fb435f9160ff153593eea07b4faa456b94d9d3e7e6c9f1efd1b74780",
-    "summary.csv": "4f3139a0817eaa9150056d3f209196cbedaa0755b0b899fb846ce83f332abcac",
-    "run-scone-seed0.jsonl": "0e62a154747110f5347f8233231328e21433dfdfb8e482a33e5e4ddab6301688",
-    "run-scone-seed1.jsonl": "7ada284938db50081d9bc47c3d75b18e6c52f64460665bec4960f3c3d3c64bb1",
-    "run-temp_scone_atc-seed0.jsonl": "1748f32bc08dbf60f42a501d1c890301e0e8c43f9751a494a36486659a46013f",
-    "run-temp_scone_atc-seed1.jsonl": "23a74c5c811ca81c77ddaf0cad2f67fda56690fdc217d7440d27555d9ff6b5c3",
+    "config_echo.ini": "ab071c0e0dcefc51a314e3f9c2d7bdd02c0fbb967e6e4ae8f5d4cc9d8daccd58",
+    "metrics.csv": "eb12a079c56e0ad3ec8a5aa97fb2fb3f67569ea22b848d74d84a256b32d5a41b",
+    "summary.csv": "03649c305eb8531f34fa0cde0867de5ac956690e231aaa56bbbdfc23b708f931",
+    "run-scone-seed0.jsonl": "9f09a825d89288b008ac0064850e92269da7fd23a3f25b781101f639f2fa593b",
+    "run-scone-seed1.jsonl": "38821f9e1a37493538463637232a2c8a2ef1fb3fee56257fcc37cab5d9cb19e1",
+    "run-temp_scone_atc-seed0.jsonl": "f08d8bcecd7520e7965e4e393a4d8ed16e0e8ba3df8cd955937a0a58e58eec12",
+    "run-temp_scone_atc-seed1.jsonl": "c05f25e346f850d06863820c30a2de9a42a665cf3c705058bb4282217a624a7a",
 }
 
 

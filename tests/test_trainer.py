@@ -10,7 +10,7 @@ from sconelab import trainer as trainer_mod
 from sconelab.losses import Hyperparams, LossBreakdown, total_loss
 from sconelab.metrics import evaluate_timestep, fit_threshold, fpr_at_tpr
 from sconelab.model import OptimizerConfig, energy, forward, init_params
-from sconelab.scores import ScoreKind
+from sconelab.scores import ScoreKind, hard_atc, unit_scores_grad_logits
 from sconelab.stream import StreamConfig, substream
 from sconelab.trainer import (
     RunConfig,
@@ -156,7 +156,7 @@ def test_epoch_temporal_term_inactive_within_tolerance(method):
 def test_run_state_hand_off(monkeypatch):
     """What each timestep leaves in RunState for the next one, and how the
     next one reads it."""
-    cfg = small_cfg(epochs_per_timestep=1, refit_delta=True)
+    cfg = small_cfg(epochs_per_timestep=1)
     kind = cfg.score_kind
     splits_0, params = _fresh_setup(cfg, t=0)
     state = RunState(params, params.zeros_like())
@@ -183,13 +183,31 @@ def test_run_state_hand_off(monkeypatch):
     record = train_timestep(state, splits_1, cfg)
     assert seen == [anchor]
     assert all(a is b for a, b in zip(state.probes, _probes(splits_1)))
-    # refit_delta moves delta after the record, which still uses t = 0's delta
+    # t = 1 fits its own delta on its final params, and its record uses it
     assert state.delta == trainer_mod._fit_delta(state.params, splits_1, kind) != delta_0
     drift = (record.drift_d_id, record.drift_d_cov)
-    expected = evaluate_timestep(state.params, splits_1, kind, delta_0, drift, record.loss)
-    refit = evaluate_timestep(state.params, splits_1, kind, state.delta, drift, record.loss)
+    expected = evaluate_timestep(state.params, splits_1, kind, state.delta, drift, record.loss)
+    stale = evaluate_timestep(state.params, splits_1, kind, delta_0, drift, record.loss)
     assert record == expected
-    assert (refit.atc_in, refit.atc_cov) != (record.atc_in, record.atc_cov)
+    assert (stale.atc_in, stale.atc_cov) != (record.atc_in, record.atc_cov)
+
+
+def test_record_atc_uses_the_delta_fitted_on_its_own_model():
+    """Each record's ATC columns are hard_atc of its test scores under the
+    delta fitted on its own timestep's validation split, by the params the
+    timestep finished with."""
+    cfg = small_cfg()
+    kind = cfg.score_kind
+    trace = []
+    records = run_stream(cfg, param_trace=trace)
+    for t, (record, params) in enumerate(zip(records, trace)):
+        splits = trainer_mod._splits(cfg, t)
+        delta = trainer_mod._fit_delta(params, splits, kind)
+        atc = [
+            hard_atc(unit_scores_grad_logits(forward(params, x), kind)[0], delta)
+            for x in (splits.test_id_x, splits.test_cov_x)
+        ]
+        assert [record.atc_in, record.atc_cov] == atc, t
 
 
 def test_record_detection_fields_are_fpr_at_tpr():
@@ -281,13 +299,12 @@ def test_run_scores_each_probe_batch_it_reads(monkeypatch, method):
     assert len(calls) == (timesteps - 1) * 2 * (epochs + 1)
 
 
-@pytest.mark.parametrize("refit_delta", [False, True])
 @pytest.mark.parametrize("method", ["temp_scone_atc", "temp_scone_ac", "scone"])
-def test_unchanged_model_measures_zero_drift_on_its_own_anchor(monkeypatch, method, refit_delta):
+def test_unchanged_model_measures_zero_drift_on_its_own_anchor(monkeypatch, method):
     """Timestep 2 replays timestep 1's splits, so its first epoch scores the
     very probes its anchor came from, with the model that finished them:
-    the drift is exactly 0.0, also after refit_delta moved delta."""
-    cfg = small_cfg(method=method, refit_delta=refit_delta)
+    the drift is exactly 0.0, also though timestep 1 fitted a new delta."""
+    cfg = small_cfg(method=method)
     splits = trainer_mod._splits
     monkeypatch.setattr(trainer_mod, "_splits", lambda c, t: splits(c, min(t, 1)))
     seen = []
@@ -450,12 +467,11 @@ def test_ce_only_config_trains_cross_entropy_alone():
     assert record.loss.total == record.loss.ce
 
 
-@pytest.mark.parametrize("refit_delta", [False, True])
-def test_trained_timestep_runs_no_forward_pass_on_its_training_split(monkeypatch, refit_delta):
-    """After t = 0, whole-split forward passes score the record
-    (evaluate_timestep) and, under refit_delta, refit delta on the
-    validation split (_fit_delta); none runs on the training split."""
-    cfg = small_cfg(refit_delta=refit_delta)
+def test_trained_timestep_runs_no_forward_pass_on_its_training_split(monkeypatch):
+    """After t = 0, whole-split forward passes fit delta on the validation
+    split (_fit_delta) and score the record (evaluate_timestep); none runs
+    on the training split."""
+    cfg = small_cfg()
     splits, params = _fresh_setup(cfg)
     state = RunState(params, params.zeros_like(), _probes(splits), delta=0.5)
     calls = []  # (calling function, rows) of every forward pass
@@ -467,10 +483,8 @@ def test_trained_timestep_runs_no_forward_pass_on_its_training_split(monkeypatch
     monkeypatch.setattr(trainer_mod, "forward", spy)
     monkeypatch.setattr(metrics_mod, "forward", spy)
     train_timestep(state, splits, cfg)
-    expected = [("evaluate_timestep", splits.test_id_x)]
+    expected = [("_fit_delta", splits.val_x), ("evaluate_timestep", splits.test_id_x)]
     expected += [("evaluate_timestep", splits.test_cov_x), ("evaluate_timestep", splits.test_sem_x)]
-    if refit_delta:
-        expected.append(("_fit_delta", splits.val_x))
     assert [name for name, _ in calls] == [name for name, _ in expected]
     assert all(x is rows for (_, x), (_, rows) in zip(calls, expected))
 
